@@ -27,7 +27,8 @@ import weakref
 from .ffield import (canonical_sigma, canonical_tau, canonical_theta, embed,
                      extend, frobenius, is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio, enumerate_pgl2,
-                      identity, map_triple, s_group_maps, three_point_map)
+                      identity, map_triple, post, precompose, s_group_maps,
+                      three_point_map)
 from .poly import Poly
 from .ramify import is_separable, ramification_profile
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
@@ -328,16 +329,6 @@ def lambda_mu_relation(lam, mu):
 # witness machinery
 
 
-def _post(B, S):
-    """B composed after S, as an expression."""
-    return RatExpr(B.a * S.num + B.b * S.den, B.c * S.num + B.d * S.den)
-
-
-def _precompose(R, A):
-    """R composed with A, that is R(A(x))."""
-    return act(PairAction(identity(R.ctx), A.inverse()), R)
-
-
 def _probe_field(ctx, npoints):
     """A field whose projective line has at least npoints points,
     together with the embedding from ctx (None when ctx suffices)."""
@@ -382,12 +373,12 @@ def _forced_post(S, T):
         B = B.descend(em)
         if B is None:
             return None
-    return B if _post(B, S) == T else None
+    return B if post(B, S) == T else None
 
 
 def _aligned_pair(R, T, A0):
     """Complete a source alignment A0 to a full pair onto T, or None."""
-    S = _precompose(R, A0)
+    S = precompose(R, A0)
     B = _forced_post(S, T)
     if B is None:
         return None
@@ -493,7 +484,7 @@ def _reduce_to_poly(R, prof):
     else:
         u, v = _first_points(ctx, (p3,), 2)
     A0 = three_point_map(p3, u, v)
-    S = _precompose(R, A0)
+    S = precompose(R, A0)
     q3 = S(INF)
     if rest:
         q2 = S(ctx.zero)
@@ -502,7 +493,7 @@ def _reduce_to_poly(R, prof):
     else:
         z1, z2 = _first_points(ctx, (q3,), 2)
         B0 = three_point_map(q3, z1, z2).inverse()
-    C0 = _post(B0, S)
+    C0 = post(B0, S)
     if C0.den.degree != 0:
         raise AssertionError("pole alignment failed for %s" % R)
     return A0, B0, C0
@@ -551,7 +542,15 @@ def _witness_char3_wild(R, prof):
 
 
 def _cube_root(v):
-    """Some y with y^3 = v; ValueError if v is not a cube."""
+    """Some y with y^3 = v; ValueError if v is not a cube.
+
+    When 9 divides q - 1 the root is the least of the three by element
+    code, found by Adleman-Manders-Miller: write q - 1 = 3^s t with t
+    prime to 3.  The 3-Sylow subgroup is generated by g = theta^t for
+    the canonical noncube theta, the discrete log of v^t to base g comes
+    by Pohlig-Hellman one base-3 digit at a time, and the part of v of
+    order prime to 3 has its cube root by an exponent.
+    """
     ctx = v.ctx
     if v.key == 0:
         return v
@@ -562,12 +561,23 @@ def _cube_root(v):
         raise ValueError("%r is not a cube" % (v,))
     if m % 9:
         return v ** pow(3, -1, m // 3)
-    if ctx.elements is None:
-        raise ValueError("cube roots in %s need an interned field" % ctx.name)
-    for y in ctx:
-        if (y ** 3) == v:
-            return y
-    raise AssertionError("cube promised but no root found")
+    s, t = 0, m
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    g = canonical_theta(ctx) ** t
+    omega = g ** (3 ** (s - 1))
+    a = v ** t
+    k = 0
+    for i in range(s):
+        h = (a * g ** (-k)) ** (3 ** (s - 1 - i))
+        if h.key != 1:
+            k += 3 ** i * (1 if h == omega else 2)
+    # v^t = g^k with 3 | k; combine with the prime-to-3 part through
+    # alpha t + beta 3^s = 1
+    alpha = pow(t, -1, 3 ** s)
+    beta = (1 - alpha * t) // 3 ** s
+    y = g ** (k // 3 * alpha) * v ** (beta * 3 ** s * pow(3, -1, t))
+    return min((y, y * omega, y * omega * omega), key=lambda z: z.key)
 
 
 def _witness_char2_iv(R, prof):
@@ -583,10 +593,10 @@ def _witness_char2_iv(R, prof):
               if proj_key(R(x)) == proj_key(Q) and proj_key(x) != proj_key(P))
     w2 = _first_points(ctx, (P, Pp), 1)[0]
     A0 = three_point_map(P, Pp, w2)
-    S = _precompose(R, A0)
+    S = precompose(R, A0)
     z1, z2 = _first_points(ctx, (Q,), 2)
     B0 = three_point_map(Q, z1, z2).inverse()
-    C0 = _post(B0, S)
+    C0 = post(B0, S)
     den = C0.den
     if den.degree != 1 or den.coeff(0).key:
         raise AssertionError("pole alignment failed for %s" % R)
@@ -917,37 +927,13 @@ def are_equivalent(R, R2):
     if R.degree != R2.degree:
         raise ValueError("expressions have different degrees")
     ctx = R.ctx
-    if R == R2:
-        idm = identity(ctx)
-        return PairAction(idm, idm)
-    top, em = _probe_field(ctx, 2 * R.degree + 1)
-    R2e = R2 if em is None else R2.lift(em)
-    probes = list(proj_points(top))
     idm = identity(ctx)
+    if R == R2:
+        return PairAction(idm, idm)
     for A in enumerate_pgl2(ctx):
         S = act(PairAction(idm, A), R)
-        Se = S if em is None else S.lift(em)
-        svals = []
-        tvals = []
-        for P in probes:
-            v = Se(P)
-            if any(proj_key(v) == proj_key(u) for u in svals):
-                continue
-            svals.append(v)
-            tvals.append(R2e(P))
-            if len(svals) == 3:
-                break
-        if len(svals) < 3:
-            continue
-        if any(proj_key(tvals[i]) == proj_key(tvals[j])
-               for i in range(3) for j in range(i + 1, 3)):
-            continue
-        B = map_triple(tuple(svals), tuple(tvals))
-        if em is not None:
-            B = B.descend(em)
-            if B is None:
-                continue
-        if _post(B, S) == R2:
+        B = _forced_post(S, R2)
+        if B is not None:
             return PairAction(B, A)
     return None
 

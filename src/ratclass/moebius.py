@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .ffield import DESK_SCALE_BOUND, Fel
 from .poly import Poly, _mk, _trim
-from .ratexpr import INF, RatExpr, proj_key
+from .ratexpr import INF, RatExpr, _normalized, proj_key
 
 
 def _coerce(ctx, v):
@@ -131,14 +131,6 @@ def act_point(M, P):
     return M(P)
 
 
-def from_ratexpr(R):
-    """The Moebius transformation equal to a degree-1 expression."""
-    if R.degree != 1:
-        raise ValueError("not a degree-1 expression")
-    return Moebius(R.ctx, R.num.coeff(1), R.num.coeff(0),
-                   R.den.coeff(1), R.den.coeff(0))
-
-
 def three_point_map(a, b, c):
     """The unique transformation sending inf, 0, 1 to a, b, c.
 
@@ -206,36 +198,107 @@ def pair_identity(ctx):
     return PairAction(identity(ctx), identity(ctx))
 
 
-def _subst_moebius(f, M, weight):
-    """The weight-homogenized substitution f((ax+b)/(cx+d)) (cx+d)^weight."""
-    ctx = f.ctx
-    lin_n = _mk(ctx, _trim((M.b, M.a)))
-    lin_d = _mk(ctx, _trim((M.d, M.c)))
-    npow = [_mk(ctx, (ctx.one,))]
-    dpow = [_mk(ctx, (ctx.one,))]
-    for _ in range(weight):
-        npow.append(npow[-1] * lin_n)
-        dpow.append(dpow[-1] * lin_d)
-    out = Poly(ctx, ())
-    for i in range(weight + 1):
-        cf = f.coeff(i)
-        if cf.key:
-            out = out + cf * (npow[i] * dpow[weight - i])
+def _substitute(R, a, b, c, d):
+    """Coefficient lists of the numerator and denominator of
+    R((ax+b)/(cx+d)), homogenized at weight r = deg R: each side is
+    sum_i f_i (ax+b)^i (cx+d)^(r-i).
+
+    The r+1 basis forms are built once and serve both sides.
+    """
+    ctx = R.ctx
+    r = R.degree
+    zero = ctx.zero
+    npow = [[ctx.one]]
+    dpow = [[ctx.one]]
+    for _ in range(r):
+        npow.append(_product(npow[-1], (b, a), zero))
+        dpow.append(_product(dpow[-1], (d, c), zero))
+    num = [zero] * (r + 1)
+    den = [zero] * (r + 1)
+    for i in range(r + 1):
+        fn = R.num.coeff(i)
+        fd = R.den.coeff(i)
+        if not (fn.key or fd.key):
+            continue
+        basis = _product(npow[i], dpow[r - i], zero)
+        for k, e in enumerate(basis):
+            if e.key:
+                if fn.key:
+                    num[k] = num[k] + fn * e
+                if fd.key:
+                    den[k] = den[k] + fd * e
+    return num, den
+
+
+def _product(f, g, zero):
+    """The product of two coefficient lists."""
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi.key:
+            for j, gj in enumerate(g):
+                if gj.key:
+                    out[i + j] = out[i + j] + fi * gj
     return out
 
 
+def _fold(B, num, den):
+    """(B.a num + B.b den) / (B.c num + B.d den) with a monic denominator.
+
+    num and den are coefficient lists of a coprime pair that is not
+    constant; an invertible B keeps the pair coprime, so only the
+    leading coefficient of the denominator is divided out.
+    """
+    ctx = B.ctx
+    zero = ctx.zero
+    ba, bb, bc, bd = B.a, B.b, B.c, B.d
+    n2 = []
+    d2 = []
+    for k in range(max(len(num), len(den))):
+        fn = num[k] if k < len(num) else zero
+        fd = den[k] if k < len(den) else zero
+        n2.append(ba * fn + bb * fd)
+        d2.append(bc * fn + bd * fd)
+    return _monic_over(ctx, n2, d2)
+
+
+def _monic_over(ctx, num, den):
+    """The expression of a coprime pair of coefficient lists, with the
+    denominator made monic and no gcd taken."""
+    num = _trim(num)
+    den = _trim(den)
+    lc = den[-1]
+    if lc.key != 1:
+        inv = lc.inverse()
+        num = [c * inv for c in num]
+        den = [c * inv for c in den]
+    return _normalized(_mk(ctx, num), _mk(ctx, den))
+
+
+def post(B, S):
+    """B composed after the expression S, that is B(S(x))."""
+    return _fold(B, S.num.coeffs, S.den.coeffs)
+
+
+def precompose(R, M):
+    """R composed with M, that is R(M(x)); coprime as in act."""
+    return _monic_over(R.ctx, *_substitute(R, M.a, M.b, M.c, M.d))
+
+
 def act(pair, R):
-    """The pair action (B, A) . R = B(R(A^{-1}(x))), normalized."""
+    """The pair action (B, A) . R = B(R(A^{-1}(x))), normalized.
+
+    A^{-1} is (d, -b, -c, a) up to a scale, which the monic
+    denominator absorbs, so no inverse is normalized.  No gcd is needed
+    either: R's numerator and denominator homogenize to coprime forms of
+    weight deg R, an invertible change of variables keeps forms coprime,
+    and so does the invertible combination that B applies afterwards.
+    """
     if R.degree < 1:
         raise ValueError("the action is defined on nonconstant expressions")
     if pair.ctx is not R.ctx:
         raise TypeError("pair and expression over different fields")
-    Ai = pair.A.inverse()
-    r = R.degree
-    n1 = _subst_moebius(R.num, Ai, r)
-    d1 = _subst_moebius(R.den, Ai, r)
-    B = pair.B
-    return RatExpr(B.a * n1 + B.b * d1, B.c * n1 + B.d * d1)
+    A = pair.A
+    return _fold(pair.B, *_substitute(R, A.d, -A.b, -A.c, A.a))
 
 
 def enumerate_pgl2(ctx):

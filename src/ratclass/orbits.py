@@ -1,10 +1,10 @@
 """Orbit enumeration under the two-sided Moebius action, at desk scale.
 
 The group PGL_2(F_q) x PGL_2(F_q) acts on degree-r expressions by
-(B, A) . R = B(R(A^{-1}(x))).  This module walks orbits breadth-first,
-counts stabilizers, partitions the full set of quadratics or cubics
-over a small field into classes, and verifies the partition against
-closed-form counts.
+(B, A) . R = B(R(A^{-1}(x))).  This module enumerates orbits as unions
+of post-orbits {B(R(A(x)))} over the source maps A, counts stabilizers,
+partitions the full set of quadratics or cubics over a small field into
+classes, and verifies the partition against closed-form counts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 
 from .classify import CASES, _forced_post, canonical_rep, classify, label_json
 from .ffield import DESK_SCALE_BOUND
-from .moebius import Moebius, PairAction, act, enumerate_pgl2, identity
+from .moebius import enumerate_pgl2, post, precompose
 from .poly import Poly, gcd_monic
 from .ratexpr import count_expressions, enumerate_expressions
 
@@ -48,23 +48,6 @@ def coprime_pair_count(ctx, r, s):
     return n
 
 
-def _pgl2_generators(ctx):
-    gens = [Moebius(ctx, 1, 1, 0, 1), Moebius(ctx, 0, 1, 1, 0)]
-    g = ctx.primitive
-    if g.key != 1:
-        gens.append(Moebius(ctx, g, ctx.zero, ctx.zero, ctx.one))
-    return gens
-
-
-def _pair_generators(ctx):
-    idm = identity(ctx)
-    gens = []
-    for M in _pgl2_generators(ctx):
-        gens.append(PairAction(M, idm))
-        gens.append(PairAction(idm, M))
-    return gens
-
-
 def _check_scale(ctx, degree, limit):
     total = count_expressions(ctx, degree)
     bound = DESK_SCALE_BOUND if limit is None else limit
@@ -76,21 +59,21 @@ def _check_scale(ctx, degree, limit):
 
 
 def orbit_of(R, limit=None):
-    """The full orbit of R as a set, walked breadth-first."""
+    """The full orbit of R as a set.
+
+    The orbit is the union over A of the post-orbits {B(R(A(x)))}, so
+    each source map costs one substitution, and a post-orbit is
+    enumerated only for an R(A(x)) not already reached: the set is a
+    union of whole post-orbits at every step.
+    """
     ctx = R.ctx
     _check_scale(ctx, R.degree, limit)
-    gens = _pair_generators(ctx)
-    seen = {R}
-    frontier = [R]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for pair in gens:
-                T = act(pair, S)
-                if T not in seen:
-                    seen.add(T)
-                    nxt.append(T)
-        frontier = nxt
+    group = enumerate_pgl2(ctx)
+    seen = set()
+    for A in group:
+        S = precompose(R, A)
+        if S not in seen:
+            seen.update(post(B, S) for B in group)
     return seen
 
 
@@ -101,11 +84,9 @@ def stabilizer_order(R):
     satisfy B(R(A^{-1}(x))) = R, so one forced-map check per group
     element decides membership.
     """
-    ctx = R.ctx
-    idm = identity(ctx)
     n = 0
-    for A in enumerate_pgl2(ctx):
-        S = act(PairAction(idm, A), R)
+    for A in enumerate_pgl2(R.ctx):
+        S = precompose(R, A)
         if _forced_post(S, R) is not None:
             n += 1
     return n
@@ -172,7 +153,7 @@ def all_classes(ctx, degree, limit=None):
     Expressions are bucketed by classification label.  A non-FourPoint
     bucket is a single class: each member carries a verified witness
     onto the shared canonical representative.  FourPoint buckets are
-    split into orbits breadth-first, so merged invariants cannot hide
+    split into orbits by orbit_of, so merged invariants cannot hide
     distinct classes.
     """
     if degree not in (2, 3):

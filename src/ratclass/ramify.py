@@ -13,9 +13,9 @@ Which path computes the index:
 * p > deg R, so no index reaches p and every point is tame: a root of
   multiplicity m in W has index m + 1, and infinity has index
   2 deg R - 1 - deg W; both are read off the factorization of W.
-* p <= deg R (p = 2 or 3), where a point may be wild: ram_index, which
-  moves the point and its branch value to 0 with coordinate swaps and
-  counts the vanishing order of the numerator, once per closed point
+* p <= deg R (p = 2 or 3), where a point may be wild: ram_index, the
+  multiplicity of the point in the fiber polynomial num - R(P) den (the
+  degree drop of that polynomial at infinity), once per closed point
   (conjugate points share their index).
 
 hurwitz_check recomputes every index with ram_index on both paths.
@@ -24,8 +24,8 @@ hurwitz_check recomputes every index with ram_index on both paths.
 from __future__ import annotations
 
 from .ffield import extend
-from .poly import irreducible_factors, root_of_irreducible
-from .ratexpr import INF, RatExpr, expr, proj_key
+from .poly import _multiplicity, irreducible_factors, root_of_irreducible
+from .ratexpr import INF, proj_key
 
 
 class RamPoint:
@@ -111,31 +111,24 @@ def is_separable(R):
     return not wronskian(R).is_zero
 
 
-def _vanishing_order(f):
-    for i, c in enumerate(f.coeffs):
-        if c.key:
-            return i
-    raise AssertionError("zero polynomial has no vanishing order")
-
-
 def ram_index(R, P):
-    """The local index e_R(P): vanishing order of R - R(P) at P.
+    """The local index e_R(P): the order of R - R(P) at P.
 
-    P and the branch value are moved to 0 by x -> x + P or x -> 1/x
-    swaps on source and target, after which the order is read off the
-    numerator.  Returns 1 at unramified points.
+    At a finite P this is the multiplicity of P as a root of
+    num - R(P) den, or of den when R(P) is infinite, found by repeated
+    synthetic division.  At infinity it is the degree drop
+    deg den - deg(num - R(P) den), or deg num - deg den when R(P) is
+    infinite.  Returns 1 at unramified points.
     """
-    ctx = R.ctx
-    if P is INF:
-        R1 = R.compose(expr(ctx, (1,), (0, 1)))
-    else:
-        R1 = R.compose(expr(ctx, (P, 1)))
-    Q = R1(ctx.zero)
+    Q = R(P)
     if Q is INF:
-        R2 = RatExpr(R1.den, R1.num)
-    else:
-        R2 = R1 - Q
-    return _vanishing_order(R2.num)
+        if P is INF:
+            return R.num.degree - R.den.degree
+        return _multiplicity(R.den, P)
+    fiber = R.num - R.den * Q
+    if P is INF:
+        return R.den.degree - fiber.degree
+    return _multiplicity(fiber, P)
 
 
 def ramification_profile(R):

@@ -277,14 +277,6 @@ def count_expressions(ctx, r):
     return q ** (2 * r - 1) * (q * q - 1)
 
 
-def count_coprime_monic_pairs(ctx, r, s):
-    """Number of coprime pairs of monic polynomials of degrees (r, s)."""
-    q = ctx.q
-    if r == 0 or s == 0:
-        return q ** (r + s)
-    return q ** (r + s - 1) * (q - 1)
-
-
 def _poly_from_code(ctx, code, width, top=None):
     els = ctx.elements
     q = ctx.q

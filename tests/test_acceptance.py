@@ -160,8 +160,9 @@ def test_criterion_05_cubic_char3_oracle(f3_report):
             assert rep == targets[label.case]
             assert mb.act(witness.pair, R) == rep
             witnessed += 1
-    # the breadth-first orbit walk is the independent oracle: every
-    # label bucket must coincide with the orbit of its representative
+    # the orbit enumeration, which never classifies, is the independent
+    # oracle: every label bucket must coincide with the orbit of its
+    # representative
     orbits_agree = all(
         ob.orbit_of(c["representative"]) == buckets[c["label"]]
         for c in f3_report.classes)

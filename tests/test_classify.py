@@ -442,3 +442,24 @@ def test_label_json_shapes():
     out = cl.label_json(label, F5, w)
     assert out == {"case": "Quad_X2", "params": {}, "sigma": "2",
                    "witness": {"B": "x+2", "A": "x"}}
+
+
+def test_cube_root_matches_scan():
+    # 9 divides q - 1 for both fields, where the root is the least of three
+    for ctx in (ff.field_create(2, 6), ff.field_create(19)):
+        cubes = {(y ** 3).key for y in ctx}
+        for k in cubes:
+            v = ctx.from_key(k)
+            assert cl._cube_root(v) == next(y for y in ctx if y ** 3 == v)
+        noncube = ff.canonical_theta(ctx)
+        with pytest.raises(ValueError):
+            cl._cube_root(noncube)
+
+
+def test_cubic2_iv_beyond_interned_fields():
+    big = ff.field_create(2, 18)
+    assert big.elements is None and (big.q - 1) % 9 == 0
+    R = rx.expr(big, (1, 0, 0, 1), (0, 1))
+    label, witness = cl.classify(R)
+    assert label == cl.ClassLabel("Cubic2_iv", {"k": 0})
+    assert witness.target == cl.canonical_rep(label, big)

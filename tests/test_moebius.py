@@ -115,6 +115,48 @@ def test_pair_action_against_compose_chain():
         mb.act(mb.pair_identity(F7), rx.expr(F7, (3,)))
 
 
+def _random_moebius(rng, ctx):
+    while True:
+        try:
+            return mb.Moebius(ctx, *(ctx.from_key(rng.randrange(ctx.q))
+                                     for _ in range(4)))
+        except ValueError:
+            pass
+
+
+def _random_expr(rng, ctx, degree):
+    while True:
+        num, den = ([ctx.from_key(rng.randrange(ctx.q))
+                     for _ in range(degree + 1)] for _ in range(2))
+        if any(c.key for c in den):
+            R = rx.RatExpr(rx.Poly(ctx, num), rx.Poly(ctx, den))
+            if R.degree == degree:
+                return R
+
+
+def test_act_matches_gcd_normalizing_chain():
+    # act, post and precompose skip the gcd; the chain of compositions
+    # through RatExpr normalizes with one after every step
+    rng = random.Random(3)
+    fields = [ff.field_create(p, n)
+              for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2))]
+    big = ff.field_create(2, 14)
+    assert big.elements is None
+    for ctx in fields + [big]:
+        for degree in (1, 2, 3):
+            for _ in range(40 if ctx is not big else 8):
+                R = _random_expr(rng, ctx, degree)
+                B = _random_moebius(rng, ctx)
+                A = _random_moebius(rng, ctx)
+                chain = B.as_ratexpr().compose(R).compose(
+                    A.inverse().as_ratexpr())
+                got = mb.act(mb.PairAction(B, A), R)
+                assert got.key == chain.key, (ctx.name, str(R), B, A)
+                assert mb.post(B, R).key == B.as_ratexpr().compose(R).key
+                assert mb.precompose(R, A).key \
+                    == R.compose(A.as_ratexpr()).key
+
+
 def test_power_pair_stabilizes_cube():
     for p in (5, 7):
         ctx = ff.field_create(p)

@@ -70,6 +70,44 @@ def test_orbits_partition_f2_cubics():
             assert not orbs[i] & orbs[j]
 
 
+def bfs_orbit(R):
+    # breadth-first walk under (B, 1) and (1, A) for B, A in a generating
+    # set of PGL_2: x + 1, 1/x and x times a primitive element
+    ctx = R.ctx
+    idm = mb.identity(ctx)
+    gens = [mb.Moebius(ctx, 1, 1, 0, 1), mb.Moebius(ctx, 0, 1, 1, 0)]
+    if ctx.primitive.key != 1:
+        gens.append(mb.Moebius(ctx, ctx.primitive, 0, 0, 1))
+    pairs = [mb.PairAction(M, idm) for M in gens] \
+        + [mb.PairAction(idm, M) for M in gens]
+    seen = {R}
+    frontier = [R]
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for pair in pairs:
+                T = mb.act(pair, S)
+                if T not in seen:
+                    seen.add(T)
+                    nxt.append(T)
+        frontier = nxt
+    return seen
+
+
+def test_orbit_of_matches_breadth_first_oracle(f3_cubic):
+    seeds = [rx.expr(F2, (0, 0, 0, 1)),
+             rx.expr(F2, (1, 1, 0, 1), (0, 1, 1)),
+             rx.expr(F2, (0, 0, 1, 1)),
+             rx.expr(F2, (1, 0, 0, 1), (0, 1))]
+    # each F_3 FourPoint bucket is a single class
+    four = [c["representative"] for c in f3_cubic.classes
+            if c["label"].case == "FourPoint"]
+    assert len(four) == 3
+    seeds += four
+    for R in seeds:
+        assert ob.orbit_of(R) == bfs_orbit(R), str(R)
+
+
 def test_orbit_scale_guard():
     R = rx.expr(F2, (0, 0, 0, 1))
     assert len(ob.orbit_of(R, limit=96)) == 18

@@ -33,6 +33,20 @@ def oracle_index(R, P):
     return m
 
 
+def compose_index(R, P):
+    # move P and its branch value to 0 by x -> x + P or x -> 1/x on
+    # the source and subtraction or x -> 1/x on the target, then read
+    # the vanishing order of the numerator at 0
+    ctx = R.ctx
+    if P is rx.INF:
+        R1 = R.compose(rx.expr(ctx, (1,), (0, 1)))
+    else:
+        R1 = R.compose(rx.expr(ctx, (P, 1)))
+    Q = R1(ctx.zero)
+    R2 = rx.RatExpr(R1.den, R1.num) if Q is rx.INF else R1 - Q
+    return next(i for i, c in enumerate(R2.num.coeffs) if c.key)
+
+
 def oracle_profile(R, max_degree=4):
     # scan every point of exact degree d for d = 1 .. max_degree
     ctx = R.ctx
@@ -162,6 +176,23 @@ def test_index_matches_fiber_multiplicity():
     for R in cases:
         for P in rx.proj_points(R.ctx):
             assert rm.ram_index(R, P) == oracle_index(R, P)
+
+
+def test_ram_index_matches_compose_oracle():
+    # every point of P^1(F_q) and every Wronskian root, for all
+    # quadratics and cubics over F_2, F_3 and F_4
+    for ctx in (F2, F3, F4):
+        for degree in (2, 3):
+            for R in rx.enumerate_expressions(ctx, degree):
+                for P in rx.proj_points(ctx):
+                    assert rm.ram_index(R, P) == compose_index(R, P)
+                lifts = {}
+                for pt in rm.ramification_profile(R).points:
+                    d = pt.defining_degree
+                    if d not in lifts:
+                        lifts[d] = R.lift(ff.extend(ctx, d)[1])
+                    e = compose_index(lifts[d], pt.point)
+                    assert rm.ram_index(lifts[d], pt.point) == e == pt.index
 
 
 def test_profile_matches_scan_oracle():
