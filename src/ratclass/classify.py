@@ -13,9 +13,14 @@ Witness construction mirrors the structure of each class: a source-side
 transformation A aligns distinguished points (ramification points,
 further preimages of branch values) with those of the canonical form,
 and the target-side transformation B is then forced by three probe
-values.  Conjugate ramification points are handled over F_{q^2} using
-the canonical tau, and the alignment maps are checked to be
-Frobenius-stable rather than assumed, so they descend to F_q.
+values.  One loop, _align, tries the candidate alignments of a class in
+a fixed order and completes the first that admits a B.  The further
+preimage of a double point's branch value comes from algebra, not from
+a search: _fiber_mate divides the double root out of the fiber
+polynomial and reads the mate off the linear cofactor.  Conjugate
+ramification points are handled over F_{q^2} using the canonical tau,
+and the alignment maps are checked to be Frobenius-stable rather than
+assumed, so they descend to F_q.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .ffield import (canonical_sigma, canonical_tau, canonical_theta, embed,
 from .moebius import (Moebius, PairAction, act, cross_ratio, enumerate_pgl2,
                       identity, map_triple, post, precompose, s_group_maps,
                       three_point_map)
-from .poly import Poly
+from .poly import Poly, _synthetic_div
 from .ramify import is_separable, ramification_profile
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
@@ -376,13 +381,50 @@ def _forced_post(S, T):
     return B if post(B, S) == T else None
 
 
-def _aligned_pair(R, T, A0):
-    """Complete a source alignment A0 to a full pair onto T, or None."""
-    S = precompose(R, A0)
-    B = _forced_post(S, T)
-    if B is None:
-        return None
-    return PairAction(B, A0.inverse())
+def _align(R, T, triples, em=None):
+    """The first alignment that completes to a pair onto T.
+
+    Each (src, dst) triple of points gives A0 = map_triple(src, dst),
+    descended through em when one is given (a triple whose map does not
+    descend is skipped); B is then forced by _forced_post.  Candidates
+    are tried in the order given, and AssertionError is raised when
+    none completes.
+    """
+    for src, dst in triples:
+        A0 = map_triple(src, dst)
+        if em is not None:
+            A0 = A0.descend(em)
+            if A0 is None:
+                continue
+        B = _forced_post(precompose(R, A0), T)
+        if B is not None:
+            return PairAction(B, A0.inverse())
+    raise AssertionError("no alignment onto %s completes for %s" % (T, R))
+
+
+def _fiber_mate(R, pt):
+    """The other preimage of pt.branch under the cubic R, for a point pt
+    of index 2, in the field of pt.
+
+    The fiber polynomial num - Q den (den when Q is infinite) has P as a
+    double root, so dividing (x - P)^2 out leaves a cofactor of degree at
+    most one: its root is the mate, and a constant cofactor puts the
+    mate at infinity.  At P = infinity the fiber polynomial drops two
+    degrees and is already linear.
+    """
+    if pt.defining_degree > 1:
+        R = R.lift(extend(R.ctx, pt.defining_degree)[1])
+    P, Q = pt.point, pt.branch
+    fiber = R.den if Q is INF else R.num - R.den * Q
+    if P is not INF:
+        for _ in range(2):
+            fiber, rem = _synthetic_div(fiber, P)
+            if rem.key:
+                raise AssertionError("%r is not a double point of %s"
+                                     % (P, R))
+    if fiber.degree == 0:
+        return INF
+    return -fiber.coeffs[0] / fiber.coeffs[1]
 
 
 def _first_points(ctx, avoid, count):
@@ -410,13 +452,11 @@ def _witness_power_insep(R, r):
 
 def _witness_power(R, prof, T):
     """Witness onto x^r for a pair of rational ramification points."""
+    ctx = R.ctx
     p1, p2 = (pt.point for pt in prof.points)
-    for a, b in ((p1, p2), (p2, p1)):
-        w = _first_points(R.ctx, (a, b), 1)[0]
-        pair = _aligned_pair(R, T, three_point_map(a, b, w))
-        if pair is not None:
-            return pair
-    raise AssertionError("two-point alignment failed for %s" % R)
+    w = _first_points(ctx, (p1, p2), 1)[0]
+    src = (INF, ctx.zero, ctx.one)
+    return _align(R, T, ((src, (p1, p2, w)), (src, (p2, p1, w))))
 
 
 def _witness_two_point_conj(R, prof, T):
@@ -426,14 +466,8 @@ def _witness_two_point_conj(R, prof, T):
     tau = canonical_tau(ctx)
     tauc = frobenius(tau, ctx.n)
     r1, r2 = (pt.point for pt in prof.points)
-    for a, b in ((r1, r2), (r2, r1)):
-        A0 = map_triple((tau, tauc, INF), (a, b, INF)).descend(em)
-        if A0 is None:
-            continue
-        pair = _aligned_pair(R, T, A0)
-        if pair is not None:
-            return pair
-    raise AssertionError("conjugate alignment failed for %s" % R)
+    src = (tau, tauc, INF)
+    return _align(R, T, ((src, (r1, r2, INF)), (src, (r2, r1, INF))), em)
 
 
 def _witness_dickson(R, prof, T):
@@ -441,11 +475,8 @@ def _witness_dickson(R, prof, T):
     p3 = next(pt.point for pt in prof.points if pt.index == 3)
     t1, t2 = (pt.point for pt in prof.points if pt.index == 2)
     one = R.ctx.one
-    for a, b in ((t1, t2), (t2, t1)):
-        pair = _aligned_pair(R, T, map_triple((INF, one, -one), (p3, a, b)))
-        if pair is not None:
-            return pair
-    raise AssertionError("three-point alignment failed for %s" % R)
+    src = (INF, one, -one)
+    return _align(R, T, ((src, (p3, t1, t2)), (src, (p3, t2, t1))))
 
 
 def _witness_dickson_conj(R, prof, T):
@@ -456,14 +487,8 @@ def _witness_dickson_conj(R, prof, T):
     p3 = next(pt.point for pt in prof.points if pt.index == 3)
     p3e = INF if p3 is INF else em(p3)
     t1, t2 = (pt.point for pt in prof.points if pt.index == 2)
-    for a, b in ((t1, t2), (t2, t1)):
-        A0 = map_triple((tau, -tau, INF), (a, b, p3e)).descend(em)
-        if A0 is None:
-            continue
-        pair = _aligned_pair(R, T, A0)
-        if pair is not None:
-            return pair
-    raise AssertionError("conjugate alignment failed for %s" % R)
+    src = (tau, -tau, INF)
+    return _align(R, T, ((src, (t1, t2, p3e)), (src, (t2, t1, p3e))), em)
 
 
 def _scale(ctx, s):
@@ -589,8 +614,7 @@ def _witness_char2_iv(R, prof):
     ctx = R.ctx
     P = prof.points[0].point
     Q = prof.points[0].branch
-    Pp = next(x for x in proj_points(ctx)
-              if proj_key(R(x)) == proj_key(Q) and proj_key(x) != proj_key(P))
+    Pp = _fiber_mate(R, prof.points[0])
     w2 = _first_points(ctx, (P, Pp), 1)[0]
     A0 = three_point_map(P, Pp, w2)
     S = precompose(R, A0)
@@ -637,16 +661,11 @@ def _witness_quad_sep_char2(R, prof, T):
     fibers = {}
     for x in proj_points(ctx):
         fibers.setdefault(proj_key(R(x)), []).append(x)
-    for vkey in sorted(fibers):
-        pts = fibers[vkey]
-        if vkey == qkey or len(pts) != 2:
-            continue
-        for u, w in ((pts[0], pts[1]), (pts[1], pts[0])):
-            A0 = map_triple((ctx.one, ctx.zero, INF), (P, u, w))
-            pair = _aligned_pair(R, T, A0)
-            if pair is not None:
-                return pair
-    raise AssertionError("fiber alignment failed for %s" % R)
+    src = (ctx.one, ctx.zero, INF)
+    return _align(R, T, ((src, (P, u, w))
+                         for vkey, pts in sorted(fibers.items())
+                         if vkey != qkey and len(pts) == 2
+                         for u, w in (pts, pts[::-1])))
 
 
 def _witness_char2_v(R, prof):
@@ -658,24 +677,14 @@ def _witness_char2_v(R, prof):
     """
     ctx = R.ctx
     pa, pb = (pt.point for pt in prof.points)
-    qa, qb = (pt.branch for pt in prof.points)
-    pap = next(x for x in proj_points(ctx)
-               if proj_key(R(x)) == proj_key(qa)
-               and proj_key(x) != proj_key(pa))
-    pbp = next(x for x in proj_points(ctx)
-               if proj_key(R(x)) == proj_key(qb)
-               and proj_key(x) != proj_key(pb))
+    pap, pbp = (_fiber_mate(R, pt) for pt in prof.points)
     rho = cross_ratio(pa, pap, pb, pbp)
     c = rho / (ctx.one + rho)
     if c * c == c:
         raise AssertionError("degenerate fiber cross-ratio for %s" % R)
     T = canonical_rep(ClassLabel("Cubic2_v", {"c": c}), ctx)
-    for m1, m2, m3 in ((pa, pap, pb), (pb, pbp, pa)):
-        A0 = map_triple((INF, c, ctx.one), (m1, m2, m3))
-        pair = _aligned_pair(R, T, A0)
-        if pair is not None:
-            return c, pair
-    raise AssertionError("fiber alignment failed for %s" % R)
+    src = (INF, c, ctx.one)
+    return c, _align(R, T, ((src, (pa, pap, pb)), (src, (pb, pbp, pa))))
 
 
 def _witness_char2_vi(R, prof):
@@ -687,13 +696,9 @@ def _witness_char2_vi(R, prof):
     """
     ctx = R.ctx
     n = ctx.n
-    top, em = extend(ctx, 2)
+    em = extend(ctx, 2)[1]
     rho, rhoc = (pt.point for pt in prof.points)
-    q_rho = prof.points[0].branch
-    Re = R.lift(em)
-    rhop = next(x for x in proj_points(top)
-                if proj_key(Re(x)) == proj_key(q_rho)
-                and proj_key(x) != proj_key(rho))
+    rhop = _fiber_mate(R, prof.points[0])
     rhopc = frobenius(rhop, n)
     cr = em.preimage(cross_ratio(rho, rhop, rhoc, rhopc))
     b = ctx.one + sqrt(ctx.one / cr)
@@ -702,15 +707,9 @@ def _witness_char2_vi(R, prof):
     T = canonical_rep(ClassLabel("Cubic2_vi", {"b": b}), ctx)
     tau = canonical_tau(ctx)
     tauc = frobenius(tau, n)
-    be = em(b)
-    for m1, m2, m3 in ((rho, rhop, rhoc), (rhoc, rhopc, rho)):
-        A0 = map_triple((tau, tau + be, tauc), (m1, m2, m3)).descend(em)
-        if A0 is None:
-            continue
-        pair = _aligned_pair(R, T, A0)
-        if pair is not None:
-            return b, pair
-    raise AssertionError("conjugate fiber alignment failed for %s" % R)
+    src = (tau, tau + em(b), tauc)
+    return b, _align(R, T, ((src, (rho, rhop, rhoc)),
+                            (src, (rhoc, rhopc, rho))), em)
 
 
 # ---------------------------------------------------------------------------

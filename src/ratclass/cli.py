@@ -5,7 +5,8 @@ over a field named by --field p^n (or a plain prime power).  Output is
 a plain-text report by default and JSON with --json; both are
 deterministic byte for byte.  Exit status: 0 for success or a passing
 verification, 1 for usage and domain errors, 2 for a verification
-mismatch or an inequivalent pair.
+mismatch or an inequivalent pair, 3 for an internal error (a failed
+invariant check inside the library, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import argparse
 import json
 import sys
 
-from . import poly
 from .classify import (CASES, ClassLabel, are_equivalent, canonical_rep,
                        classify, label_json)
 from .ffield import field_create
@@ -225,9 +225,6 @@ def build_parser():
                         help="field designator p^n, e.g. 5 or 2^2")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for the internal splitting walk "
-                             "(results never depend on it)")
     common.add_argument("--limit", type=int, default=None,
                         help="override the enumeration size bound")
     parser = _ArgParser(
@@ -278,8 +275,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    if args.seed is not None:
-        poly.SPLIT_SEED = args.seed
     try:
         ctx = parse_field(args.field)
         return args.func(args, ctx)
@@ -289,6 +284,9 @@ def main(argv=None):
     except (ValueError, ZeroDivisionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except AssertionError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

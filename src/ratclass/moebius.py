@@ -57,7 +57,7 @@ class Moebius:
         return (self.a.key, self.b.key, self.c.key, self.d.key)
 
     def __call__(self, P):
-        """The induced map on P^1 (an alias of act_point)."""
+        """The induced map on P^1."""
         if P is INF:
             if self.c.key == 0:
                 return INF
@@ -116,19 +116,6 @@ class Moebius:
 
 def identity(ctx):
     return Moebius(ctx, 1, 0, 0, 1)
-
-
-def moebius_compose(M, N):
-    """The composite M after N."""
-    return M.compose(N)
-
-
-def moebius_inverse(M):
-    return M.inverse()
-
-
-def act_point(M, P):
-    return M(P)
 
 
 def three_point_map(a, b, c):

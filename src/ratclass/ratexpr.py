@@ -10,7 +10,7 @@ the point at infinity of P^1.
 from __future__ import annotations
 
 from .ffield import DESK_SCALE_BOUND, Fel
-from .poly import Poly, _mk, _trim, divmod_poly, gcd_monic, map_coeffs, poly_x
+from .poly import Poly, _mk, _trim, divmod_poly, gcd_monic, map_coeffs
 
 
 class _Inf:
@@ -245,28 +245,9 @@ def _one_poly(ctx):
     return _mk(ctx, (ctx.one,))
 
 
-def identity_expr(ctx):
-    return RatExpr(poly_x(ctx), _one_poly(ctx))
-
-
-def constant_expr(a):
-    """The constant map with value a (a Fel)."""
-    return RatExpr(_mk(a.ctx, _trim([a])), _one_poly(a.ctx))
-
-
 def expr(ctx, num_coeffs, den_coeffs=(1,)):
     """Expression from little-endian coefficient lists (ints or elements)."""
     return RatExpr(Poly(ctx, num_coeffs), Poly(ctx, den_coeffs))
-
-
-def make(num, den):
-    """Normalized rational expression num/den (two Poly over one field)."""
-    return RatExpr(num, den)
-
-
-def eval_proj(R, P):
-    """Projective evaluation of R at a field element or INF."""
-    return R(P)
 
 
 def count_expressions(ctx, r):

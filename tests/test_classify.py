@@ -21,16 +21,19 @@ F8 = ff.field_create(2, 3)
 F9 = ff.field_create(3, 2)
 F11 = ff.field_create(11)
 F13 = ff.field_create(13)
+F16 = ff.field_create(2, 4)
+F64 = ff.field_create(2, 6)
+
+
+def random_moebius(ctx, rng):
+    while True:
+        a, b, c, d = (ctx.from_key(rng.randrange(ctx.q)) for _ in range(4))
+        if (a * d - b * c).key:
+            return mb.Moebius(ctx, a, b, c, d)
 
 
 def random_pair(ctx, rng):
-    els = list(ctx)
-    mats = []
-    while len(mats) < 2:
-        a, b, c, d = (rng.choice(els) for _ in range(4))
-        if (a * d - b * c).key:
-            mats.append(mb.Moebius(ctx, a, b, c, d))
-    return mb.PairAction(mats[0], mats[1])
+    return mb.PairAction(random_moebius(ctx, rng), random_moebius(ctx, rng))
 
 
 def random_exprs(ctx, degree, count, rng):
@@ -463,3 +466,103 @@ def test_cubic2_iv_beyond_interned_fields():
     label, witness = cl.classify(R)
     assert label == cl.ClassLabel("Cubic2_iv", {"k": 0})
     assert witness.target == cl.canonical_rep(label, big)
+
+
+def scan_mate(R, pt):
+    """The fiber search the classifier used to run: the first point of
+    P^1 over the field of pt, other than pt, where R takes pt's branch
+    value."""
+    top, lifted = R.ctx, R
+    if pt.defining_degree > 1:
+        top, em = ff.extend(R.ctx, pt.defining_degree)
+        lifted = R.lift(em)
+    return next(x for x in rx.proj_points(top)
+                if rx.proj_key(lifted(x)) == rx.proj_key(pt.branch)
+                and rx.proj_key(x) != rx.proj_key(pt.point))
+
+
+def fiber_profile(R):
+    """The ramification profile of a Cubic2_iv/v/vi cubic, else None."""
+    if not rm.is_separable(R):
+        return None
+    prof = rm.ramification_profile(R)
+    return prof if prof.indices in ((2,), (2, 2)) else None
+
+
+def fiber_kind(prof):
+    # the points of one Cubic2_iv/v/vi profile share their degree
+    return prof.indices, prof.points[0].defining_degree
+
+
+FIBER_KINDS = {((2,), 1), ((2, 2), 1), ((2, 2), 2)}
+
+
+def sampled_fiber_cubics(ctx, quota, rng):
+    """(R, profile) for seeded cubics, numerator and denominator of
+    degree <= 3, quota of each Cubic2_iv/v/vi kind."""
+    seen = dict.fromkeys(FIBER_KINDS, 0)
+    while min(seen.values()) < quota:
+        num, den = ([ctx.from_key(rng.randrange(ctx.q)) for _ in range(4)]
+                    for _ in range(2))
+        if all(c.key == 0 for c in den):
+            continue
+        R = rx.expr(ctx, num, den)
+        prof = fiber_profile(R) if R.degree == 3 else None
+        if prof and seen[fiber_kind(prof)] < quota:
+            seen[fiber_kind(prof)] += 1
+            yield R, prof
+
+
+def test_fiber_mate_matches_scan_oracle():
+    # every index-2 point of every Cubic2_iv/v/vi cubic over F_2 and
+    # F_4, and of seeded samples of each kind over F_8, F_16 and F_64
+    rng = random.Random(4)
+    cases = [(R, fiber_profile(R)) for ctx in (F2, F4)
+             for R in rx.enumerate_expressions(ctx, 3)]
+    for ctx, quota in ((F8, 40), (F16, 20), (F64, 8)):
+        cases += sampled_fiber_cubics(ctx, quota, rng)
+    kinds = {}
+    at_infinity = 0
+    for R, prof in cases:
+        if prof is None:
+            continue
+        kinds.setdefault(R.ctx.q, set()).add(fiber_kind(prof))
+        for pt in prof.points:
+            mate = cl._fiber_mate(R, pt)
+            assert rx.proj_key(mate) == rx.proj_key(scan_mate(R, pt))
+            at_infinity += mate is rx.INF
+    # F_2 has only Cubic2_iv; every larger field meets all three kinds
+    assert kinds == {2: {((2,), 1)}, 4: FIBER_KINDS, 8: FIBER_KINDS,
+                     16: FIBER_KINDS, 64: FIBER_KINDS}
+    assert at_infinity
+
+
+def test_fiber_witnesses_in_large_fields():
+    # Cubic2_vi needs F_{q^2}, which for F_{2^18} lies beyond the
+    # desk-scale bound; iv and v still classify there
+    rng = random.Random(18)
+    for n in (8, 10, 18):
+        ctx = ff.field_create(2, n)
+        c = ctx.from_key(rng.randrange(2, ctx.q))
+        labels = [cl.ClassLabel("Cubic2_iv", {"k": k}) for k in (0, 1, 2)]
+        labels.append(cl.ClassLabel("Cubic2_v", {"c": c}))
+        if n < 18:
+            labels.append(cl.ClassLabel("Cubic2_vi", {"b": c}))
+        for label in labels:
+            T = cl.canonical_rep(label, ctx)
+            R = mb.act(random_pair(ctx, rng), T)
+            got, w = cl.classify(R)
+            assert got == label and w.target == T
+            moved = mb.act(random_pair(ctx, rng), R)
+            assert cl.classify(moved)[0] == label
+
+
+def test_align_raises_when_no_candidate_completes():
+    # x^2 and the twisted two-point form are inequivalent over F_5, so
+    # no alignment can be completed by a B
+    R = rx.expr(F5, (0, 0, 1))
+    T = cl.canonical_rep(cl.ClassLabel("Quad_TwoPointTwist"), F5)
+    src = (rx.INF, F5.zero, F5.one)
+    with pytest.raises(AssertionError, match="no alignment"):
+        cl._align(R, T, [(src, (rx.INF, F5.zero, F5.one))])
+    assert cl._align(R, R, [(src, src)]) == mb.pair_identity(F5)

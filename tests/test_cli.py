@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ratclass.cli as cli
 import ratclass.ffield as ff
 import ratclass.orbits as ob
 import ratclass.poly as pl
@@ -202,15 +203,22 @@ def test_seed_flag_never_changes_results(capsys, monkeypatch):
     base = pl.roots(f)
     monkeypatch.setattr(pl, "SPLIT_SEED", 1234)
     assert pl.roots(f) == base
-    monkeypatch.undo()
-    saved = pl.SPLIT_SEED
-    try:
-        outs = []
-        for seed in ("1", "99"):
-            code, out, err = run(capsys, "classify", "--field", "7",
-                                 "--seed", seed, "x^3+x^2+1")
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-    finally:
-        pl.SPLIT_SEED = saved
+    outs = []
+    for seed in (1, 99):
+        monkeypatch.setattr(pl, "SPLIT_SEED", seed)
+        code, out, err = run(capsys, "classify", "--field", "7",
+                             "x^3+x^2+1")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_internal_error_is_one_line(capsys, monkeypatch):
+    def broken(R):
+        raise AssertionError("alignment failed for %s" % R)
+
+    monkeypatch.setattr(cli, "classify", broken)
+    code, out, err = run(capsys, "classify", "--field", "5", "x^2+1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: alignment failed for x^2+1\n"
