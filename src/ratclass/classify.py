@@ -733,10 +733,7 @@ def _four_point_label(R, prof):
         pts = []
         brs = []
         for pt in prof.points:
-            if pt.defining_degree == 1:
-                em = extend(ctx, m)[1]
-            else:
-                em = embed(extend(ctx, pt.defining_degree)[0], ctxm)
+            em = embed(extend(ctx, pt.defining_degree)[0], ctxm)
             pts.append(_embed_point(pt.point, em))
             brs.append(_embed_point(pt.branch, em))
     lam = cross_ratio(*pts)

@@ -420,7 +420,7 @@ class FieldCtx:
         exp = [None] * (q - 1)
         log = [0] * q
         rep = self.one.rep
-        prim_rep = prim.rep
+        prim_rep = self._decode(prim)
         key = 1
         for i in range(q - 1):
             exp[i] = els[key]
@@ -433,7 +433,7 @@ class FieldCtx:
                 key = key * self.p + c
         self._exp = exp
         self._log = log
-        self._primitive = els[prim.key]
+        self._primitive = els[prim]
         if self.n > 1:
             self._intern_sums()
 
@@ -470,32 +470,23 @@ class FieldCtx:
         return self._exp[(la + z) % m]
 
     def _find_primitive(self):
+        """Code of the least generator of the multiplicative group."""
         q = self.q
-        if q == 2:
-            return self.elements[1]
         fac = _prime_factors(q - 1)
-        one = self.one.rep
-        for a in self.elements[1:]:
-            if all(_pow_rep(a.rep, (q - 1) // ell, self.p, self.defining)
+        one = (1,) + (0,) * (self.n - 1)
+        for k in range(1, q):
+            rep = self._decode(k)
+            if all(_pow_rep(rep, (q - 1) // ell, self.p, self.defining)
                    != one for ell in fac):
-                return a
+                return k
         raise AssertionError("no primitive element in " + self.name)
 
     @property
     def primitive(self):
         """Least generator of the multiplicative group."""
         if self._primitive is None:
-            self._primitive = self._find_primitive_big()
+            self._primitive = self.from_key(self._find_primitive())
         return self._primitive
-
-    def _find_primitive_big(self):
-        q = self.q
-        fac = _prime_factors(q - 1)
-        for k in range(1, q):
-            a = self.from_key(k)
-            if all((a ** ((q - 1) // ell)).key != 1 for ell in fac):
-                return a
-        raise AssertionError("no primitive element in " + self.name)
 
     def _by_key(self, k):
         els = self.elements
@@ -634,7 +625,11 @@ def canonical_sigma(ctx):
     """Least nonsquare, or in characteristic 2 the least element of
     absolute trace 1."""
     if ctx.p == 2:
-        for a in ctx:
+        # the trace is F_2-linear and codes are power-basis coordinates:
+        # if t^j is the first basis power of trace 1, every code below
+        # 2^j sums lesser powers and has trace 0, so t^j is the least
+        for j in range(ctx.n):
+            a = ctx.from_key(1 << j)
             if trace_absolute(a).key == 1:
                 return a
         raise AssertionError("no trace-one element in " + ctx.name)
@@ -770,27 +765,19 @@ class Embedding:
 
 
 def _least_root_of_subfield_poly(coeffs, dst):
-    """Least root in dst of a polynomial given by integer coefficients.
+    """Least root in dst of the irreducible polynomial over F_p with the
+    given integer coefficients, whose degree divides dst.n.
 
-    The polynomial is monic and splits completely in dst (it is the
-    defining polynomial of a subfield), so small fields are scanned in
-    code order and large fields go through the generic root finder.
+    poly.root_of_irreducible splits off one root r; the other roots are
+    its conjugates r^(p^i), and the least of them is returned.
     """
-    cs = [dst.scalar(c) for c in coeffs]
-    if dst.elements is not None:
-        for a in dst.elements:
-            acc = dst.zero
-            for c in reversed(cs):
-                acc = acc * a + c
-            if acc.key == 0:
-                return a
-        raise AssertionError("defining polynomial has no root in " + dst.name)
     from . import poly as _poly
-    f = _poly.Poly(dst, tuple(cs))
-    rs = _poly.roots(f)
-    if not rs:
-        raise AssertionError("defining polynomial has no root in " + dst.name)
-    return rs[0][0]
+    base = field_create(dst.p)
+    r = _poly.root_of_irreducible(_poly.Poly(base, coeffs), embed(base, dst))
+    conjugates = [r]
+    for _ in range(len(coeffs) - 2):
+        conjugates.append(frobenius(conjugates[-1]))
+    return min(conjugates)
 
 
 @functools.lru_cache(maxsize=None)
@@ -802,13 +789,17 @@ def embed(src, dst):
     one floor up.  Chains built this way nest: whenever the ascending
     factorizations concatenate, embed(a, c) equals embed(b, c) composed
     with embed(a, b), and the 2-2 towers used downstream always do.
+    A prime field has no generator to map and embeds through its
+    constants alone, so it takes no steps.
     """
     if src.p != dst.p:
         raise ValueError("different characteristics %d and %d" % (src.p, dst.p))
     if dst.n % src.n:
         raise ValueError("%s does not embed in %s" % (src.name, dst.name))
+    if src.n == 1:
+        return Embedding(src, dst, dst.one)
     if src is dst:
-        return Embedding(src, dst, dst.gen if dst.n > 1 else dst.one)
+        return Embedding(src, dst, dst.gen)
     m = dst.n // src.n
     steps = []
     for ell in _prime_factors(m):
@@ -816,12 +807,11 @@ def embed(src, dst):
             steps.append(ell)
             m //= ell
     cur = src
-    image = src.gen if src.n > 1 else src.one
+    image = src.gen
     for ell in steps:
         nxt = field_create(src.p, cur.n * ell)
         root = _least_root_of_subfield_poly(cur.defining, nxt)
-        step = Embedding(cur, nxt, root)
-        image = step(image) if cur.n > 1 else nxt.one
+        image = Embedding(cur, nxt, root)(image)
         cur = nxt
     return Embedding(src, dst, image)
 

@@ -6,14 +6,11 @@ distinguished marker, deliberately not -1).
 
 irreducible_factors factors over the coefficient field by squarefree,
 distinct-degree and seeded equal-degree (Cantor-Zassenhaus) splitting,
-and root_of_irreducible realizes one root of an irreducible factor of
-degree d in the degree-d extension (quadratic formula for d = 2,
-splitting over the extension beyond); neither scans a field, and the
-ramification module uses only these two.  roots returns every root in
-the polynomial's own field with multiplicity, sorted by element code:
-interned fields are swept in code order, larger ones go through x^q - x
-splitting and a seeded equal-degree split, and the two paths agree
-wherever both run.
+and root_of_irreducible realizes one root of an irreducible factor in
+an extension where it splits (quadratic formula for degree 2, splitting
+off the smaller half beyond); its conjugates are its Frobenius images.
+roots returns the linear factors as roots with their multiplicities,
+sorted by element code.  Nothing here scans a field.
 """
 
 from __future__ import annotations
@@ -286,13 +283,14 @@ def radical(f):
 
 
 def _pow_mod(base, e, mod):
-    q, result = divmod_poly(_mk(base.ctx, (base.ctx.one,)), mod)
-    cur = divmod_poly(base, mod)[1]
-    while e:
-        if e & 1:
-            result = divmod_poly(result * cur, mod)[1]
-        cur = divmod_poly(cur * cur, mod)[1]
-        e >>= 1
+    """base^e reduced mod mod, left to right: every multiplication is by
+    base itself, which costs little when base is linear."""
+    result = divmod_poly(_mk(base.ctx, (base.ctx.one,)), mod)[1]
+    base = divmod_poly(base, mod)[1]
+    for bit in bin(e)[2:]:
+        result = divmod_poly(result * result, mod)[1]
+        if bit == "1":
+            result = divmod_poly(result * base, mod)[1]
     return result
 
 
@@ -333,13 +331,9 @@ def factor_degree_pattern(f):
     if f.is_zero:
         raise ValueError("the zero polynomial has no factor pattern")
     counts = {}
-    f = f.monic()
-    # each pass strips one copy of every irreducible still dividing f
-    while f.degree:
-        r = radical(f)
-        for d, g in _distinct_degree_split(r):
-            counts[d] = counts.get(d, 0) + g.degree // d
-        f = divmod_poly(f, r)[0]
+    for m, s in _squarefree_split(f):
+        for d, g in _distinct_degree_split(s):
+            counts[d] = counts.get(d, 0) + m * g.degree // d
     return sorted(counts.items())
 
 
@@ -369,16 +363,11 @@ def _multiplicity(f, a):
 
 def roots(f):
     """All roots of f in its own field, as (root, multiplicity) pairs
-    sorted by element code."""
+    sorted by element code: the linear irreducible factors of f."""
     if f.is_zero:
         raise ValueError("every element is a root of the zero polynomial")
-    if f.degree == 0:
-        return []
-    ctx = f.ctx
-    if ctx.elements is not None:
-        return [(a, _multiplicity(f, a)) for a in ctx.elements
-                if f(a).key == 0]
-    return _roots_by_splitting(f)
+    return sorted(((-u.coeffs[0], m) for u, m in irreducible_factors(f)
+                   if u.degree == 1), key=lambda am: am[0].key)
 
 
 def roots_in(f, emb):
@@ -386,55 +375,34 @@ def roots_in(f, emb):
     return roots(map_coeffs(f, emb))
 
 
-def _roots_by_splitting(f):
-    ctx = f.ctx
-    x = poly_x(ctx)
-    fm = f.monic()
-    h = _pow_mod(x, ctx.q, fm)
-    g = gcd_monic(fm, h - x)
-    rng = random.Random(SPLIT_SEED)
-    out = []
-    stack = [g]
-    while stack:
-        u = stack.pop()
-        if u.degree == 0:
-            continue
-        if u.degree == 1:
-            a = -u.coeffs[0]
-            out.append((a, _multiplicity(f, a)))
-            continue
-        w = _root_splitter(u, rng)
-        d = gcd_monic(u, w)
-        if 0 < (d.degree or 0) < u.degree:
-            stack.append(d)
-            stack.append(divmod_poly(u, d)[0])
-        else:
-            stack.append(u)
-    out.sort(key=lambda pair: pair[0].key)
-    return out
-
-
-def _random_splitter(u, rng, d):
+def _splitter(u, rng, d):
     """A polynomial whose gcd with u has a fair chance of being proper.
 
-    u is monic, squarefree and a product of irreducible factors of
-    degree d.  Odd q: h^((q^d-1)/2) - 1 for a random h; characteristic
-    2: the trace h + h^2 + ... + h^(2^(nd-1)), both reduced mod u.
+    u is monic, squarefree, of degree above d and a product of
+    irreducible factors of degree d over its field F_Q.  h is drawn at
+    random: for d = 1 the linear x + c (c x with c nonzero in
+    characteristic 2), beyond that any h of degree below deg u.  Odd Q:
+    h^((Q^d-1)/2) - 1, which sorts the factors by the square class of h
+    at their roots.  Characteristic 2: the trace h + h^2 + ... +
+    h^(2^(nd-1)).  Both are reduced mod u.
     """
     ctx = u.ctx
-    cs = [ctx.from_key(rng.randrange(ctx.q)) for _ in range(u.degree)]
-    h = _mk(ctx, _trim(cs))
-    if h.is_zero:
-        return h
+    if d > 1:
+        cs = [ctx.from_key(rng.randrange(ctx.q)) for _ in range(u.degree)]
+        h = _mk(ctx, _trim(cs))
+        if h.is_zero:
+            return h
+    elif ctx.p == 2:
+        h = _mk(ctx, (ctx.zero, ctx.from_key(rng.randrange(1, ctx.q))))
+    else:
+        h = _mk(ctx, (ctx.from_key(rng.randrange(ctx.q)), ctx.one))
     if ctx.p == 2:
-        acc = divmod_poly(h, u)[1]
-        cur = acc
+        acc = cur = divmod_poly(h, u)[1]
         for _ in range(ctx.n * d - 1):
             cur = divmod_poly(cur * cur, u)[1]
             acc = acc + cur
         return acc
-    w = _pow_mod(h, (ctx.q ** d - 1) // 2, u)
-    return w - u.ctx.one
+    return _pow_mod(h, (ctx.q ** d - 1) // 2, u) - ctx.one
 
 
 def _equal_degree_split(g, d, rng):
@@ -447,7 +415,7 @@ def _equal_degree_split(g, d, rng):
         if u.degree == d:
             out.append(u)
             continue
-        w = _random_splitter(u, rng, d)
+        w = _splitter(u, rng, d)
         h = gcd_monic(u, w)
         if 0 < (h.degree or 0) < u.degree:
             stack.append(h)
@@ -497,50 +465,24 @@ def irreducible_factors(f):
 
 def root_of_irreducible(u, emb):
     """One root of the monic irreducible u in the extension reached by
-    emb, whose degree over u's field must be u.degree.
+    emb, whose degree over u's field must be a multiple of u.degree.
 
     Its conjugates are the images under x -> x^q.  Quadratics use the
     quadratic formula (an Artin-Schreier root in characteristic 2);
-    larger degrees split u over the extension until a quadratic or a
-    linear factor is left.
+    larger degrees split u over the extension, keeping the smaller
+    half, until a quadratic or a linear factor is left.
     """
     f = map_coeffs(u, emb)
     if f.degree > 2:
         rng = random.Random(SPLIT_SEED)
         while f.degree > 2:
-            h = gcd_monic(f, _root_splitter(f, rng))
+            h = gcd_monic(f, _splitter(f, rng, 1))
             if 0 < (h.degree or 0) < f.degree:
                 rest = divmod_poly(f, h)[0]
                 f = h if h.degree <= rest.degree else rest
     if f.degree == 2:
         return _quadratic_root(f)
     return -f.coeffs[0]
-
-
-def _root_splitter(f, rng):
-    """A polynomial whose gcd with f has a fair chance of being proper.
-
-    f is monic, squarefree and a product of linear factors over its
-    field F_Q, of degree at least 2.  Odd Q: (x + c)^((Q-1)/2) - 1,
-    which sorts the roots b by the square class of b + c; only the
-    squarings cost a full product.  Characteristic 2: the absolute
-    trace of c x for c nonzero.  c is drawn at random.
-    """
-    ctx = f.ctx
-    if ctx.p == 2:
-        c = ctx.from_key(rng.randrange(1, ctx.q))
-        cur = acc = _mk(ctx, (ctx.zero, c))
-        for _ in range(ctx.n - 1):
-            cur = divmod_poly(cur * cur, f)[1]
-            acc = acc + cur
-        return acc
-    step = _mk(ctx, (ctx.from_key(rng.randrange(ctx.q)), ctx.one))
-    w = _mk(ctx, (ctx.one,))
-    for bit in bin((ctx.q - 1) // 2)[2:]:
-        w = divmod_poly(w * w, f)[1]
-        if bit == "1":
-            w = divmod_poly(w * step, f)[1]
-    return w - ctx.one
 
 
 def _quadratic_root(f):

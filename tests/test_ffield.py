@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -192,6 +193,17 @@ def test_canonical_sigma():
         assert ff.canonical_sigma(ff.field_create(p, n)).key == key
 
 
+def test_canonical_sigma_char2_is_least_trace_one_basis_power():
+    # the scan over the whole field agrees wherever it is affordable
+    for n in range(1, 14):
+        ctx = ff.field_create(2, n)
+        scan = next(a for a in ctx if ff.trace_absolute(a).key == 1)
+        assert ff.canonical_sigma(ctx) == scan
+        assert scan.key & (scan.key - 1) == 0
+    # beyond it, only n traces: a field scan would take 2^15 + 1
+    assert ff.canonical_sigma(ff.field_create(2, 18)).key == 1 << 15
+
+
 def test_canonical_theta_against_cube_enumeration():
     for p, n in ((2, 2), (2, 4), (7, 1), (13, 1), (5, 2)):
         ctx = ff.field_create(p, n)
@@ -274,6 +286,63 @@ def test_embedding_towers_compose():
     base = ff.embed(F2, F4)
     for a in F2:
         assert direct(a) == via(base(a))
+
+
+def scan_embedding_image(src, dst):
+    """The generator image of src -> dst by the scan chain: prime steps
+    in ascending order, each sending the generator to the least root of
+    its defining polynomial found by sweeping the next field in code
+    order; the oracle for embed."""
+    m = dst.n // src.n
+    cur = src
+    image = src.gen if src.n > 1 else src.one
+    for ell in range(2, m + 1):
+        while m % ell == 0:
+            m //= ell
+            nxt = ff.field_create(src.p, cur.n * ell)
+            if cur.n > 1:
+                root = _least_scan_root(cur.defining, nxt)
+                image = ff.Embedding(cur, nxt, root)(image)
+            else:
+                image = nxt.one
+            cur = nxt
+    return image
+
+
+@functools.lru_cache(maxsize=None)
+def _least_scan_root(coeffs, ctx):
+    for a in ctx:
+        acc = ctx.zero
+        for c in reversed(coeffs):
+            acc = acc * a + c
+        if acc.key == 0:
+            return a
+    raise AssertionError("no root in " + ctx.name)
+
+
+def test_embeddings_match_scan_chain():
+    # every interned tower over F_2, F_3, F_5 and F_7
+    for p in (2, 3, 5, 7):
+        top = 1
+        while p ** (top + 1) <= ff.INTERN_BOUND:
+            top += 1
+        for b in range(1, top + 1):
+            dst = ff.field_create(p, b)
+            for a in range(1, b + 1):
+                if b % a == 0:
+                    src = ff.field_create(p, a)
+                    image = ff.embed(src, dst).image_of_generator
+                    assert image == scan_embedding_image(src, dst), (src, dst)
+
+
+def test_embedding_images_of_large_towers():
+    # codes the scan-and-split chain gave for the classify-stream
+    # towers, where the scan oracle is too slow to run
+    pinned = {(2, 6, 24): 2065534, (3, 5, 15): 5136439,
+              (3, 3, 12): 8100, (31, 1, 4): 1}
+    for (p, a, b), key in pinned.items():
+        e = ff.embed(ff.field_create(p, a), ff.field_create(p, b))
+        assert e.image_of_generator.key == key
 
 
 def test_identity_embedding():
