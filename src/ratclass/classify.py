@@ -12,15 +12,17 @@ carry no witness.
 Witness construction mirrors the structure of each class: a source-side
 transformation A aligns distinguished points (ramification points,
 further preimages of branch values) with those of the canonical form,
-and the target-side transformation B is then forced by three probe
-values.  One loop, _align, tries the candidate alignments of a class in
-a fixed order and completes the first that admits a B.  The further
-preimage of a double point's branch value comes from algebra, not from
-a search: _fiber_mate divides the double root out of the fiber
-polynomial and reads the mate off the linear cofactor.  Conjugate
-ramification points are handled over F_{q^2} using the canonical tau,
-and the alignment maps are checked to be Frobenius-stable rather than
-assumed, so they descend to F_q.
+and the target-side transformation B is then read off the pencil: B
+exists exactly when the target's numerator and denominator are linear
+combinations of those of R(A(x)), and its matrix holds their
+coordinates (moebius.solve_post).  One loop, _align, tries the
+candidate alignments of a class in a fixed order and completes the
+first that admits a B.  The further preimage of a double point's branch
+value comes from algebra, not from a search: _fiber_mate divides the
+double root out of the fiber polynomial and reads the mate off the
+linear cofactor.  Conjugate ramification points are handled over
+F_{q^2} using the canonical tau, and the alignment maps are checked to
+be Frobenius-stable rather than assumed, so they descend to F_q.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .ffield import (canonical_sigma, canonical_tau, canonical_theta, embed,
                      extend, frobenius, is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio, enumerate_pgl2,
                       identity, map_triple, post, precompose, s_group_maps,
-                      three_point_map)
+                      solve_post, three_point_map)
 from .poly import Poly, _synthetic_div
 from .ramify import is_separable, ramification_profile
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
@@ -49,8 +51,14 @@ CASES = (
 
 
 _LABELS = weakref.WeakValueDictionary()
-# one shared tuple per set of parameter names, e.g. the FourPoint ones
-_PARAM_NAMES = {}
+# the sorted parameter names of each case that takes any, one shared
+# tuple per case
+_PARAM_NAMES = {
+    "Cubic2_iv": ("k",),
+    "Cubic2_v": ("c",),
+    "Cubic2_vi": ("b",),
+    "FourPoint": ("lambda", "mu", "mu_alt", "pattern"),
+}
 
 
 class ClassLabel:
@@ -60,10 +68,12 @@ class ClassLabel:
     distinguishes classes sharing a tag: the theta-power k for
     Cubic2_iv, the field parameter c or b for Cubic2_v / Cubic2_vi, and
     for FourPoint the invariants lambda, mu, mu_alt and the pattern of
-    defining degrees.  Labels compare and hash by tag and parameters.
+    defining degrees.  Every other case takes no parameters, and
+    ValueError is raised when the names given are not exactly the ones
+    the case takes.  Labels compare and hash by tag and parameters.
     Labels are immutable and interned: equal labels alive at the same
-    time are one object, and labels store their parameter names once
-    per name set, so results kept in bulk cost little memory.
+    time are one object, and labels share their case's tuple of
+    parameter names, so results kept in bulk cost little memory.
     """
 
     __slots__ = ("case", "_names", "_values", "__weakref__")
@@ -72,8 +82,11 @@ class ClassLabel:
         if case not in CASES:
             raise ValueError("unknown class tag %r" % (case,))
         items = sorted((params or {}).items())
-        names = tuple(k for k, _ in items)
-        names = _PARAM_NAMES.setdefault(names, names)
+        names = _PARAM_NAMES.get(case, ())
+        given = tuple(k for k, _ in items)
+        if given != names:
+            raise ValueError("class %s takes parameters (%s), not (%s)"
+                             % (case, ", ".join(names), ", ".join(given)))
         values = tuple(v for _, v in items)
         key = (case, names, values)
         label = _LABELS.get(key)
@@ -334,61 +347,14 @@ def lambda_mu_relation(lam, mu):
 # witness machinery
 
 
-def _probe_field(ctx, npoints):
-    """A field whose projective line has at least npoints points,
-    together with the embedding from ctx (None when ctx suffices)."""
-    e = 1
-    while ctx.q ** e + 1 < npoints:
-        e += 1
-    if e == 1:
-        return ctx, None
-    top, em = extend(ctx, e)
-    return top, em
-
-
-def _forced_post(S, T):
-    """The unique B over the base field with B(S(x)) = T(x), or None.
-
-    Probe points run over an extension large enough that three distinct
-    S-values must appear; the transformation matching them to the
-    T-values is then checked exactly and must descend to the base.
-    """
-    ctx = S.ctx
-    top, em = _probe_field(ctx, 2 * S.degree + 1)
-    Se = S if em is None else S.lift(em)
-    Te = T if em is None else T.lift(em)
-    svals = []
-    tvals = []
-    for P in proj_points(top):
-        v = Se(P)
-        if any(proj_key(v) == proj_key(u) for u in svals):
-            continue
-        svals.append(v)
-        tvals.append(Te(P))
-        if len(svals) == 3:
-            break
-    if len(svals) < 3:
-        return None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if proj_key(tvals[i]) == proj_key(tvals[j]):
-                return None
-    B = map_triple(tuple(svals), tuple(tvals))
-    if em is not None:
-        B = B.descend(em)
-        if B is None:
-            return None
-    return B if post(B, S) == T else None
-
-
 def _align(R, T, triples, em=None):
     """The first alignment that completes to a pair onto T.
 
     Each (src, dst) triple of points gives A0 = map_triple(src, dst),
     descended through em when one is given (a triple whose map does not
-    descend is skipped); B is then forced by _forced_post.  Candidates
-    are tried in the order given, and AssertionError is raised when
-    none completes.
+    descend is skipped); B is then read off the pencil of R(A0(x)) by
+    solve_post.  Candidates are tried in the order given, and
+    AssertionError is raised when none completes.
     """
     for src, dst in triples:
         A0 = map_triple(src, dst)
@@ -396,7 +362,7 @@ def _align(R, T, triples, em=None):
             A0 = A0.descend(em)
             if A0 is None:
                 continue
-        B = _forced_post(precompose(R, A0), T)
+        B = solve_post(precompose(R, A0), T)
         if B is not None:
             return PairAction(B, A0.inverse())
     raise AssertionError("no alignment onto %s completes for %s" % (T, R))
@@ -496,47 +462,22 @@ def _scale(ctx, s):
 
 
 def _reduce_to_poly(R, prof):
-    """Move the index-3 ramification point and its branch value to
-    infinity: returns (A0, B0, C0) with C0 = B0(R(A0(x))) a polynomial.
-
-    A0 also sends 0 to the second ramification point when one exists.
+    """Move the single ramification point, of index 3, and its branch
+    value to infinity: returns (A0, B0, C0) with C0 = B0(R(A0(x))) a
+    polynomial.
     """
     ctx = R.ctx
-    p3 = next(pt.point for pt in prof.points if pt.index == 3)
-    rest = [pt.point for pt in prof.points if pt.index != 3]
-    if rest:
-        u, v = rest[0], _first_points(ctx, (p3, rest[0]), 1)[0]
-    else:
-        u, v = _first_points(ctx, (p3,), 2)
+    p3 = prof.points[0].point
+    u, v = _first_points(ctx, (p3,), 2)
     A0 = three_point_map(p3, u, v)
     S = precompose(R, A0)
     q3 = S(INF)
-    if rest:
-        q2 = S(ctx.zero)
-        z = _first_points(ctx, (q3, q2), 1)[0]
-        B0 = three_point_map(q3, q2, z).inverse()
-    else:
-        z1, z2 = _first_points(ctx, (q3,), 2)
-        B0 = three_point_map(q3, z1, z2).inverse()
+    z1, z2 = _first_points(ctx, (q3,), 2)
+    B0 = three_point_map(q3, z1, z2).inverse()
     C0 = post(B0, S)
     if C0.den.degree != 0:
         raise AssertionError("pole alignment failed for %s" % R)
     return A0, B0, C0
-
-
-def _witness_x3x2(R, prof):
-    """Witness onto x^3 + x^2 (index pattern (2,3), both points rational)."""
-    ctx = R.ctx
-    A0, B0, C0 = _reduce_to_poly(R, prof)
-    a = C0.num.coeff(3)
-    b = C0.num.coeff(2)
-    if not (a.key and b.key) or C0.num.coeff(1).key or C0.num.coeff(0).key:
-        raise AssertionError("unexpected normal form %s" % C0)
-    s = b / a
-    t = a * a / b ** 3
-    B = _scale(ctx, t).compose(B0)
-    A = A0.compose(_scale(ctx, s))
-    return PairAction(B, A.inverse())
 
 
 def _witness_char3_wild(R, prof):
@@ -839,7 +780,17 @@ def classify_cubic(R):
     idx = prof.indices
     if idx == (2, 2, 2, 2):
         return _four_point_label(R, prof), None
-    if p >= 5:
+    if idx == (2, 3) and p < 5:
+        # x^3 + x^2 ramifies to index 3 at infinity and to index 2 at 0,
+        # whose fiber mate is -1; only the identity pair fixes it, so
+        # one alignment is the whole search
+        label = ClassLabel("Cubic3_X3X2" if p == 3 else "Cubic2_iii")
+        p3 = next(pt for pt in prof.points if pt.index == 3)
+        p2 = next(pt for pt in prof.points if pt.index == 2)
+        src = (INF, ctx.zero, -ctx.one)
+        dst = (p3.point, p2.point, _fiber_mate(R, p2))
+        pair = _align(R, canonical_rep(label, ctx), ((src, dst),))
+    elif p >= 5:
         if idx == (3, 3):
             degs = sorted(pt.defining_degree for pt in prof.points)
             if degs == [1, 1]:
@@ -862,10 +813,7 @@ def classify_cubic(R):
         else:
             raise AssertionError("impossible cubic profile %s" % (idx,))
     elif p == 3:
-        if idx == (2, 3):
-            label = ClassLabel("Cubic3_X3X2")
-            pair = _witness_x3x2(R, prof)
-        elif idx == (3,):
+        if idx == (3,):
             case, pair = _witness_char3_wild(R, prof)
             label = ClassLabel(case)
         else:
@@ -880,9 +828,6 @@ def classify_cubic(R):
                 label = ClassLabel("Cubic2_ii")
                 pair = _witness_two_point_conj(
                     R, prof, canonical_rep(label, ctx))
-        elif idx == (2, 3):
-            label = ClassLabel("Cubic2_iii")
-            pair = _witness_x3x2(R, prof)
         elif idx == (2,):
             k, pair = _witness_char2_iv(R, prof)
             label = ClassLabel("Cubic2_iv", {"k": k})
@@ -911,12 +856,10 @@ def classify(R):
 def are_equivalent(R, R2):
     """Search for a pair with act(pair, R) = R2; None when inequivalent.
 
-    For each source candidate A the target-side B is forced by three
-    probe values, so the scan is linear in the size of the Moebius
-    group.  Probe points run over a small extension when the base line
-    is too short to guarantee three distinct values; a forced B must
-    then descend to the base field.  Raises ValueError when the group
-    is too large to enumerate.
+    For each source candidate A the target-side B is read off the
+    pencil of R(A^{-1}(x)) by one linear solve over the base field, so
+    the scan is linear in the size of the Moebius group.  Raises
+    ValueError when the group is too large to enumerate.
     """
     if R.ctx is not R2.ctx:
         raise ValueError("expressions live over different fields")
@@ -928,7 +871,7 @@ def are_equivalent(R, R2):
         return PairAction(idm, idm)
     for A in enumerate_pgl2(ctx):
         S = act(PairAction(idm, A), R)
-        B = _forced_post(S, R2)
+        B = solve_post(S, R2)
         if B is not None:
             return PairAction(B, A)
     return None

@@ -203,11 +203,7 @@ def cmd_canon(args, ctx):
         else:
             params[name] = _parse_element(value, ctx)
     label = ClassLabel(args.case, params)
-    try:
-        rep = canonical_rep(label, ctx)
-    except KeyError as e:
-        raise ValueError("case %s needs a parameter %s"
-                         % (args.case, e)) from None
+    rep = canonical_rep(label, ctx)
     if args.json:
         data = label_json(label, ctx)
         data["field"] = ctx.name

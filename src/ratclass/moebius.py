@@ -266,6 +266,38 @@ def post(B, S):
     return _fold(B, S.num.coeffs, S.den.coeffs)
 
 
+def solve_post(S, T):
+    """The B with B(S(x)) = T(x), or None when there is none.
+
+    B(S) = T holds exactly when T's numerator and denominator lie in
+    the pencil spanned by S's, so B is read off as their coordinates
+    in that pencil: T_num = a S_num + b S_den and T_den = c S_num +
+    d S_den, solved by Cramer's rule on the first pair of coefficient
+    positions where S_num and S_den are independent, then checked at
+    every position.  The action of B on a nonconstant S is free, so the
+    B found is the only one.
+    """
+    r = S.degree
+    if r < 1 or T.degree != r:
+        return None
+    sn, sd, tn, td = ([f.coeff(k) for k in range(r + 1)]
+                      for f in (S.num, S.den, T.num, T.den))
+    # a coprime nonconstant pair is independent, so some minor is nonzero
+    i, j = next((i, j) for i in range(r) for j in range(i + 1, r + 1)
+                if (sn[i] * sd[j] - sn[j] * sd[i]).key)
+    inv = (sn[i] * sd[j] - sn[j] * sd[i]).inverse()
+    a = (tn[i] * sd[j] - tn[j] * sd[i]) * inv
+    b = (sn[i] * tn[j] - sn[j] * tn[i]) * inv
+    c = (td[i] * sd[j] - td[j] * sd[i]) * inv
+    d = (sn[i] * td[j] - sn[j] * td[i]) * inv
+    for k in range(r + 1):
+        if (tn[k] != a * sn[k] + b * sd[k]
+                or td[k] != c * sn[k] + d * sd[k]):
+            return None
+    B = Moebius(S.ctx, a, b, c, d)
+    return B if post(B, S) == T else None
+
+
 def precompose(R, M):
     """R composed with M, that is R(M(x)); coprime as in act."""
     return _monic_over(R.ctx, *_substitute(R, M.a, M.b, M.c, M.d))

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-from .classify import CASES, _forced_post, canonical_rep, classify, label_json
+from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import DESK_SCALE_BOUND
-from .moebius import enumerate_pgl2, post, precompose
+from .moebius import enumerate_pgl2, post, precompose, solve_post
 from .poly import Poly, gcd_monic
 from .ratexpr import count_expressions, enumerate_expressions
 
@@ -81,13 +81,14 @@ def stabilizer_order(R):
     """Number of pairs fixing R.
 
     For each source-side A the target side is forced: at most one B can
-    satisfy B(R(A^{-1}(x))) = R, so one forced-map check per group
-    element decides membership.
+    satisfy B(R(A^{-1}(x))) = R, and solve_post reads it off the pencil
+    of R(A(x)), so one linear solve per group element decides
+    membership.
     """
     n = 0
     for A in enumerate_pgl2(R.ctx):
         S = precompose(R, A)
-        if _forced_post(S, R) is not None:
+        if solve_post(S, R) is not None:
             n += 1
     return n
 

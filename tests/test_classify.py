@@ -72,6 +72,18 @@ def test_class_label_basics():
     assert "Cubic2_iv" in repr(a)
 
 
+def test_class_label_rejects_parameters_its_case_does_not_take():
+    t = F4.from_key(2)
+    for case, params in (("Quad_X2", {"k": 1}), ("Cubic2_iv", {}),
+                         ("Cubic2_iv", {"c": t}),
+                         ("Cubic2_v", {"c": t, "k": 2}),
+                         ("Cubic2_vi", {"c": t}), ("FourPoint", {}),
+                         ("FourPoint", {"lambda": t, "mu": t})):
+        with pytest.raises(ValueError, match="takes parameters"):
+            cl.ClassLabel(case, params)
+    assert cl.ClassLabel("Cubic2_vi", {"b": t}).params == (("b", t),)
+
+
 def test_witness_checks_its_pair():
     R = rx.expr(F5, (3, 0, 1))
     T = rx.expr(F5, (0, 0, 1))
@@ -118,8 +130,10 @@ def test_canonical_rep_rejects_wrong_field():
         cl.canonical_rep(cl.ClassLabel("Cubic2_iv", {"k": 1}), F2)
     with pytest.raises(ValueError):
         cl.canonical_rep(cl.ClassLabel("Cubic2_v", {"c": F4.one}), F4)
+    four = cl.ClassLabel("FourPoint", {"lambda": F5.scalar(3), "mu": rx.INF,
+                                       "mu_alt": rx.INF, "pattern": (1, 3)})
     with pytest.raises(ValueError):
-        cl.canonical_rep(cl.ClassLabel("FourPoint"), F5)
+        cl.canonical_rep(four, F5)
 
 
 def test_canonical_two_point_ramifies_at_conjugate_pair():
@@ -307,7 +321,7 @@ def test_equivalence_matches_labels_exhaustively_f2():
 
 def test_equivalence_needs_extension_probes():
     # this expression collapses the rational line to a single value, so
-    # equivalence search must probe extension points
+    # no pair can be told from its values at F_2-points alone
     R = rx.expr(F2, (1, 1, 0, 1), (0, 1, 1))
     for P in rx.proj_points(F2):
         assert R(P) is rx.INF or R(P).key == 1

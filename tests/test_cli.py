@@ -165,6 +165,14 @@ def test_canon_command(capsys):
     code, out, err = run(capsys, "canon", "--field", "2^2",
                          "--case", "Cubic2_v")
     assert code == 1
+    # a parameter the case does not take is refused, not ignored
+    code, out, err = run(capsys, "canon", "--field", "5",
+                         "--case", "Quad_X2", "--param", "k=1")
+    assert code == 1 and out == ""
+    assert "Quad_X2 takes parameters (), not (k)" in err
+    code, out, err = run(capsys, "canon", "--field", "2^2", "--case",
+                         "Cubic2_v", "--param", "c=t", "--param", "k=2")
+    assert code == 1 and out == ""
     # parameters must be field constants
     code, out, err = run(capsys, "canon", "--field", "2^2",
                          "--case", "Cubic2_v", "--param", "c=x")

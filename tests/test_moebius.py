@@ -157,6 +157,65 @@ def test_act_matches_gcd_normalizing_chain():
                     == R.compose(A.as_ratexpr()).key
 
 
+def probe_post(S, T):
+    """The B with B(S(x)) = T(x) found from values, or None: evaluate
+    S and T at points of P^1 over an extension with at least 2 deg S + 1
+    points until S has taken three distinct values, map those onto the
+    matching T-values, and keep the map if it descends to the base
+    field and composes exactly."""
+    ctx = S.ctx
+    e = 1
+    while ctx.q ** e + 1 < 2 * S.degree + 1:
+        e += 1
+    top, em = ff.extend(ctx, e) if e > 1 else (ctx, None)
+    Se = S if em is None else S.lift(em)
+    Te = T if em is None else T.lift(em)
+    svals, tvals = [], []
+    for P in rx.proj_points(top):
+        v = Se(P)
+        if all(rx.proj_key(v) != rx.proj_key(u) for u in svals):
+            svals.append(v)
+            tvals.append(Te(P))
+            if len(svals) == 3:
+                break
+    if len(svals) < 3 or len({rx.proj_key(v) for v in tvals}) < 3:
+        return None
+    B = mb.map_triple(tuple(svals), tuple(tvals))
+    if em is not None:
+        B = B.descend(em)
+        if B is None:
+            return None
+    return B if mb.post(B, S) == T else None
+
+
+def test_solve_post_matches_probe_oracle():
+    # F_2, F_3 and F_4 are too small for probes on their own line
+    rng = random.Random(6)
+    fields = [ff.field_create(p, n) for p, n in
+              ((2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 14))]
+    assert fields[-1].elements is None
+    outcomes = set()
+    for ctx in fields:
+        for degree in (1, 2, 3):
+            for _ in range(30 if ctx.q < 1000 else 6):
+                S = _random_expr(rng, ctx, degree)
+                for T in (mb.post(_random_moebius(rng, ctx), S),
+                          _random_expr(rng, ctx, degree)):
+                    B = mb.solve_post(S, T)
+                    assert B == probe_post(S, T), (ctx.name, str(S), str(T))
+                    outcomes.add(B is None)
+                    if B is not None:
+                        assert mb.post(B, S) == T
+            # a degree mismatch and a constant S have no B
+            S = _random_expr(rng, ctx, degree)
+            T = _random_expr(rng, ctx, degree % 3 + 1)
+            assert mb.solve_post(S, T) is None is probe_post(S, T)
+            const = rx.expr(ctx, (rng.randrange(ctx.q),))
+            assert mb.solve_post(const, T) is None
+            assert mb.solve_post(const, const) is None
+    assert outcomes == {True, False}
+
+
 def test_power_pair_stabilizes_cube():
     for p in (5, 7):
         ctx = ff.field_create(p)
