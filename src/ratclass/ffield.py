@@ -21,7 +21,10 @@ Fields with at most 2^13 elements intern every element, multiply
 through discrete-log tables and, when they are proper extensions, add
 through Zech logarithms; larger fields use direct polynomial
 arithmetic.  The constructor refuses q above 2^24, which keeps every
-supported computation comfortably inside one desk session.
+supported computation comfortably inside one desk session.  Building a
+field (the Rabin scan for its defining polynomial, its least primitive
+element and the walk that fills its tables) runs on a packed-integer
+kernel, `_Packed`; element arithmetic never uses it.
 """
 
 from __future__ import annotations
@@ -63,89 +66,123 @@ def _prime_factors(m):
     return out
 
 
-# Dense integer polynomials over F_p, little-endian coefficient lists.
-# Used only while choosing defining polynomials, before any field exists.
+# Packed-integer arithmetic in F_p[t]/(f), used only while building a
+# field: the Rabin test of each candidate defining polynomial, the least
+# primitive element and the exp/log walk.  A polynomial packs coefficient
+# i into bits [i w, (i + 1) w) of one integer, so an integer product
+# multiplies polynomials.  The slots are wide enough that a product and
+# its Barrett reduction mod f (two more products) never carry, so each
+# slot is reduced mod p once, at the end.
 
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+class _Packed:
+    """F_p[t]/(f) for a monic f of degree n on packed integers."""
 
+    def __init__(self, p, f):
+        n = len(f) - 1
+        self.p, self.n, self.q = p, n, p ** n
+        w = self.w = (2 * n ** 3 * (p - 1) ** 4).bit_length()
+        self.mask = (1 << w) - 1
+        self.ones = ((1 << n * w) - 1) // self.mask
+        self.negf = 0
+        for c in reversed(f):
+            self.negf = (self.negf << w) | (-c % p)
+        # mu = x^(2n) div f, by long division
+        rem, self.mu = 1 << 2 * n * w, 0
+        for s in range(n * w, -1, -w):
+            c = ((rem >> (n * w + s)) & self.mask) % p
+            self.mu |= c << s
+            rem += (c * self.negf) << s
 
-def _pmod_monic(a, f, p):
-    # reduce a modulo the monic polynomial f, fixed width len(f) - 1
-    a = list(a)
-    n = len(f) - 1
-    if len(a) < n:
-        a += [0] * (n - len(a))
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            base = i - n
-            for j in range(n):
-                if f[j]:
-                    a[base + j] = (a[base + j] - c * f[j]) % p
-    return a[:n]
+    def pack(self, k):
+        """The packed residue of the element with code k."""
+        v, s = 0, 0
+        while k:
+            k, d = divmod(k, self.p)
+            v |= d << s
+            s += self.w
+        return v
 
+    def code(self, v):
+        """The element code of the low n slots of v, reduced mod p."""
+        k = 0
+        for s in range((self.n - 1) * self.w, -1, -self.w):
+            k = k * self.p + ((v >> s) & self.mask) % self.p
+        return k
 
-def _pmulmod(a, b, f, p):
-    if not any(a) or not any(b):
-        return [0] * (len(f) - 1)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _pmod_monic(out, f, p)
+    def reduce(self, v):
+        """The low n slots of v, each reduced mod p."""
+        return v & self.ones if self.p == 2 else self.pack(self.code(v))
 
+    def mul(self, x, y):
+        v = x * y
+        nw = self.n * self.w
+        quo = ((v >> nw) * self.mu) >> nw
+        return self.reduce(v + quo * self.negf)
 
-def _ppow(base, e, f, p):
-    result = _pmod_monic([1], f, p)
-    cur = _pmod_monic(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, cur, f, p)
-        cur = _pmulmod(cur, cur, f, p)
-        e >>= 1
-    return result
+    def pow(self, x, e):
+        out = 1
+        for bit in bin(e)[2:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, x)
+        return out
 
-
-def _pgcd(a, b, p):
-    a = _ptrim([x % p for x in a])
-    b = _ptrim([x % p for x in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            _ptrim(r)
-            if len(r) < len(b):
-                break
-            c = (r[-1] * inv) % p
-            shift = len(r) - len(b)
-            for j in range(len(b)):
-                r[shift + j] = (r[shift + j] - c * b[j]) % p
-            _ptrim(r)
-        a, b = b, r
-    return a
-
-
-def _irreducible_mod_p(f, p):
-    """Rabin test for the monic polynomial f over F_p."""
-    n = len(f) - 1
-    x = [0, 1]
-    xq = _ppow(x, p ** n, f, p)
-    xm = _pmod_monic(x, f, p)
-    if _ptrim([(u - v) % p for u, v in zip(xq, xm)]):
-        return False
-    for ell in _prime_factors(n):
-        u = _ppow(x, p ** (n // ell), f, p)
-        diff = _ptrim([(a - b) % p for a, b in zip(u, xm)])
-        g = _pgcd(diff, f, p)
-        if len(g) != 1:
+    def is_irreducible(self):
+        """Rabin's test for f."""
+        p, n, q = self.p, self.n, self.q
+        t = self.mul(1, 1 << self.w)  # t mod f, a constant when n = 1
+        if self.pow(t, q) != t:
             return False
-    return True
+        # then f is squarefree and the degrees of its factors divide n,
+        # so gcd(u, f) = 1 exactly when u^(q-1) = 1
+        for ell in _prime_factors(n):
+            u = self.reduce(self.pow(t, p ** (n // ell)) + (p - 1) * t)
+            if self.pow(u, q - 1) != 1:
+                return False
+        return True
+
+    def primitive(self):
+        """Code of the least generator of the multiplicative group."""
+        q = self.q
+        fac = _prime_factors(q - 1)
+        for k in range(1, q):
+            v = self.pack(k)
+            if all(self.pow(v, (q - 1) // ell) != 1 for ell in fac):
+                return k
+        raise AssertionError("no primitive element in F_%d" % q)
+
+    def powers(self, c):
+        """The codes of c^0, c^1, ..., c^(q-2).
+
+        Multiplying by c is F_p-linear, so one table per chunk of digits
+        holds the images of all chunk values: a step adds one lookup per
+        chunk and reduces once.  In characteristic 2 codes are bit
+        vectors, so the tables hold codes and a step adds them by XOR.
+        """
+        p, size = self.p, 1
+        while p ** (size + 1) <= 256:
+            size += 1
+        radix, tabs, img = p ** size, [], self.pack(c)
+        for lo in range(0, self.n, size):
+            tab = [0]
+            for _ in range(min(size, self.n - lo)):
+                tab = [u + d * img for d in range(p) for u in tab]
+                img = self.mul(img, 1 << self.w)
+            tabs.append([self.code(u) for u in tab] if p == 2 else tab)
+        k = 1
+        for _ in range(self.q - 1):
+            yield k
+            v = 0
+            if p == 2:
+                for tab in tabs:
+                    k, r = divmod(k, radix)
+                    v ^= tab[r]
+                k = v
+            else:
+                for tab in tabs:
+                    k, r = divmod(k, radix)
+                    v += tab[r]
+                k = self.code(v)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,13 +193,8 @@ def _defining_poly(p, n):
     so the scan respects the same element order used everywhere else.
     """
     for k in range(p ** n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            digits.append(kk % p)
-            kk //= p
-        f = digits + [1]
-        if _irreducible_mod_p(f, p):
+        f = [k // p ** i % p for i in range(n)] + [1]
+        if _Packed(p, f).is_irreducible():
             return tuple(f)
     raise AssertionError("no irreducible of degree %d over F_%d" % (n, p))
 
@@ -416,21 +448,15 @@ class FieldCtx:
         self.zero = els[0]
         self.one = els[1]
         q = self.q
-        prim = self._find_primitive()
+        kernel = _Packed(self.p, self.defining)
+        prim = kernel.primitive()
         exp = [None] * (q - 1)
         log = [0] * q
-        rep = self.one.rep
-        prim_rep = self._decode(prim)
-        key = 1
-        for i in range(q - 1):
+        for i, key in enumerate(kernel.powers(prim)):
             exp[i] = els[key]
             # the int objects of the element codes serve as table
             # entries too, so each table costs one pointer per element
             log[key] = els[i].key
-            rep = _mul_rep(rep, prim_rep, self.p, self.defining)
-            key = 0
-            for c in reversed(rep):
-                key = key * self.p + c
         self._exp = exp
         self._log = log
         self._primitive = els[prim]
@@ -469,23 +495,12 @@ class FieldCtx:
             return self.zero
         return self._exp[(la + z) % m]
 
-    def _find_primitive(self):
-        """Code of the least generator of the multiplicative group."""
-        q = self.q
-        fac = _prime_factors(q - 1)
-        one = (1,) + (0,) * (self.n - 1)
-        for k in range(1, q):
-            rep = self._decode(k)
-            if all(_pow_rep(rep, (q - 1) // ell, self.p, self.defining)
-                   != one for ell in fac):
-                return k
-        raise AssertionError("no primitive element in " + self.name)
-
     @property
     def primitive(self):
         """Least generator of the multiplicative group."""
         if self._primitive is None:
-            self._primitive = self.from_key(self._find_primitive())
+            self._primitive = self.from_key(
+                _Packed(self.p, self.defining).primitive())
         return self._primitive
 
     def _by_key(self, k):

@@ -85,10 +85,6 @@ class Moebius:
         return RatExpr(Poly(self.ctx, (self.b, self.a)),
                        Poly(self.ctx, (self.d, self.c)))
 
-    def lift(self, emb):
-        return Moebius(emb.dst, emb(self.a), emb(self.b),
-                       emb(self.c), emb(self.d))
-
     def descend(self, emb):
         """The same transformation over emb.src, or None if any entry
         lies outside the embedded subfield."""

@@ -1,9 +1,22 @@
 import functools
+import importlib.util
+import pathlib
 import random
+import types
 
 import pytest
 
 from ratclass import ffield as ff
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, BENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def naive_irreducible(f, p):
@@ -62,6 +75,216 @@ def test_defining_polys_are_first_irreducible_in_code_order():
                 digits.append(kk % p)
                 kk //= p
             assert not naive_irreducible(digits + [1], p)
+
+
+# The list-based Rabin scan that chose defining polynomials before the
+# packed-integer kernel: dense little-endian coefficient lists over F_p.
+
+def _ptrim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmod_monic(a, f, p):
+    # reduce a modulo the monic polynomial f, fixed width len(f) - 1
+    a = list(a)
+    n = len(f) - 1
+    if len(a) < n:
+        a += [0] * (n - len(a))
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i]
+        if c:
+            a[i] = 0
+            base = i - n
+            for j in range(n):
+                if f[j]:
+                    a[base + j] = (a[base + j] - c * f[j]) % p
+    return a[:n]
+
+
+def _pmulmod(a, b, f, p):
+    if not any(a) or not any(b):
+        return [0] * (len(f) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    return _pmod_monic(out, f, p)
+
+
+def _ppow(base, e, f, p):
+    result = _pmod_monic([1], f, p)
+    cur = _pmod_monic(base, f, p)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, cur, f, p)
+        cur = _pmulmod(cur, cur, f, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a, b, p):
+    a = _ptrim([x % p for x in a])
+    b = _ptrim([x % p for x in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        r = list(a)
+        while len(r) >= len(b) and any(r):
+            _ptrim(r)
+            if len(r) < len(b):
+                break
+            c = (r[-1] * inv) % p
+            shift = len(r) - len(b)
+            for j in range(len(b)):
+                r[shift + j] = (r[shift + j] - c * b[j]) % p
+            _ptrim(r)
+        a, b = b, r
+    return a
+
+
+def list_irreducible(f, p):
+    """Rabin test for the monic polynomial f over F_p."""
+    n = len(f) - 1
+    x = [0, 1]
+    xq = _ppow(x, p ** n, f, p)
+    xm = _pmod_monic(x, f, p)
+    if _ptrim([(u - v) % p for u, v in zip(xq, xm)]):
+        return False
+    for ell in ff._prime_factors(n):
+        u = _ppow(x, p ** (n // ell), f, p)
+        diff = _ptrim([(a - b) % p for a, b in zip(u, xm)])
+        g = _pgcd(diff, f, p)
+        if len(g) != 1:
+            return False
+    return True
+
+
+def list_defining_poly(p, n):
+    for k in range(p ** n):
+        f = [k // p ** i % p for i in range(n)] + [1]
+        if list_irreducible(f, p):
+            return tuple(f)
+    raise AssertionError("no irreducible of degree %d over F_%d" % (n, p))
+
+
+class SetupRecorder:
+    """Stands in for the ratclass module in the benchmark's set-up and
+    records the fields it asks for, without building them."""
+
+    def __init__(self):
+        self.built = set()
+
+    def field_create(self, p, n=1):
+        self.built.add((p, n))
+        return types.SimpleNamespace(p=p, n=n, q=p ** n)
+
+    def extend(self, ctx, m):
+        return self.field_create(ctx.p, ctx.n * m)
+
+
+def oracle_fields():
+    """Every (p, n) with p^n <= 2^24 and p <= 13, and every field the
+    benchmark's three set-ups build (their towers climb through fields
+    they also build)."""
+    workloads = load_bench("workloads")
+    rec = SetupRecorder()
+    for w in workloads.WORKLOADS.values():
+        workloads.setup_fields(rec, w.fields)
+    assert {(2, 24), (3, 15), (31, 4), (101, 3)} <= rec.built
+    for p in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while p ** n <= ff.DESK_SCALE_BOUND:
+            rec.built.add((p, n))
+            n += 1
+    return sorted(rec.built)
+
+
+def test_defining_polys_match_list_rabin_scan():
+    # 76 fields; about 0.3 s, most of it in the list-based scans
+    for p, n in oracle_fields():
+        assert ff._defining_poly(p, n) == list_defining_poly(p, n), (p, n)
+
+
+def digits(k, p, n):
+    return tuple(k // p ** i % p for i in range(n))
+
+
+def test_packed_products_match_mul_rep():
+    # the kernel's slots must hold every sum it forms: products of the
+    # largest code, which has every digit p - 1, and seeded pairs
+    rng = random.Random(0)
+    for p, n in oracle_fields():
+        f = ff._defining_poly(p, n)
+        kernel = ff._Packed(p, f)
+        q = p ** n
+        pairs = [(q - 1, q - 1), (q - 1, 1)]
+        pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(20)]
+        for a, b in pairs:
+            expect = ff._mul_rep(digits(a, p, n), digits(b, p, n), p, f)
+            got = kernel.code(kernel.mul(kernel.pack(a), kernel.pack(b)))
+            assert digits(got, p, n) == expect, (p, n, a, b)
+
+
+def least_primitive(ctx):
+    """Code of the least generator of ctx's multiplicative group, by
+    Fermat powers through ff._pow_rep."""
+    p, n, q = ctx.p, ctx.n, ctx.q
+    one = digits(1, p, n)
+    fac = ff._prime_factors(q - 1)
+    return next(k for k in range(1, q)
+                if all(ff._pow_rep(digits(k, p, n), (q - 1) // ell, p,
+                                   ctx.defining) != one for ell in fac))
+
+
+def walk_tables(ctx):
+    """Primitive, exp, log and Zech tables of an interned field by the
+    coefficient-vector walk: the least primitive, then one ff._mul_rep
+    per element."""
+    p, n, q, f = ctx.p, ctx.n, ctx.q, ctx.defining
+    prim = least_primitive(ctx)
+    one = digits(1, p, n)
+    exp, rep = [], one
+    for _ in range(q - 1):
+        exp.append(sum(c * p ** i for i, c in enumerate(rep)))
+        rep = ff._mul_rep(rep, digits(prim, p, n), p, f)
+    assert rep == one
+    log = [0] * q
+    for i, k in enumerate(exp):
+        log[k] = i
+    zech = None
+    if n > 1:
+        zech = [-1] * (q - 1)
+        for i, k in enumerate(exp):
+            plus_one = k - k % p + (k + 1) % p
+            if plus_one:
+                zech[i] = log[plus_one]
+    return prim, exp, log, zech
+
+
+def test_tables_match_coefficient_vector_walk():
+    # every interned field with n >= 2 and 14 prime fields; about 1.5 s
+    rng = random.Random(0)
+    primes = [p for p in range(2, ff.INTERN_BOUND) if ff._is_prime(p)]
+    fields = [(p, 1) for p in [2, 3] + rng.sample(primes, 12)]
+    for p in primes:
+        n = 2
+        while p ** n <= ff.INTERN_BOUND:
+            fields.append((p, n))
+            n += 1
+    for p, n in fields:
+        ctx = ff.field_create(p, n)
+        prim, exp, log, zech = walk_tables(ctx)
+        assert ctx.primitive.key == prim, ctx
+        assert [a.key for a in ctx._exp] == exp, ctx
+        assert ctx._log == log, ctx
+        assert ctx._zech == zech, ctx
+    # beyond the intern bound the primitive comes from the same kernel
+    for p, n in ((2, 14), (3, 9), (13, 4)):
+        ctx = ff.field_create(p, n)
+        assert ctx.primitive.key == least_primitive(ctx), ctx
 
 
 def test_context_is_cached_and_validated():

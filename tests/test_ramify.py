@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -33,18 +34,36 @@ def oracle_index(R, P):
     return m
 
 
+def taylor_shift(coeffs, P):
+    # coefficients of g(x + P), by Horner's rule in x + P
+    out = []
+    for c in reversed(coeffs):
+        out = [c] + out
+        for i in range(len(out) - 1):
+            out[i] = out[i] + P * out[i + 1]
+    return out
+
+
 def compose_index(R, P):
-    # move P and its branch value to 0 by x -> x + P or x -> 1/x on
-    # the source and subtraction or x -> 1/x on the target, then read
-    # the vanishing order of the numerator at 0
-    ctx = R.ctx
+    # move P to 0 on the source: x -> x + P by a Taylor shift of num and
+    # den, or x -> 1/x by reversing both at the common degree (neither
+    # move can give them a common factor, so no gcd is taken); then the
+    # index is the vanishing order at 0 of num - R(P) den, or of den
+    # when R(P) is infinite
+    zero = R.ctx.zero
+    num, den = list(R.num.coeffs), list(R.den.coeffs)
     if P is rx.INF:
-        R1 = R.compose(rx.expr(ctx, (1,), (0, 1)))
+        num = (num + [zero] * (R.degree + 1 - len(num)))[::-1]
+        den = (den + [zero] * (R.degree + 1 - len(den)))[::-1]
     else:
-        R1 = R.compose(rx.expr(ctx, (P, 1)))
-    Q = R1(ctx.zero)
-    R2 = rx.RatExpr(R1.den, R1.num) if Q is rx.INF else R1 - Q
-    return next(i for i, c in enumerate(R2.num.coeffs) if c.key)
+        num, den = taylor_shift(num, P), taylor_shift(den, P)
+    if den[0].key:
+        Q = num[0] / den[0]
+        fib = [a - Q * b
+               for a, b in itertools.zip_longest(num, den, fillvalue=zero)]
+    else:
+        fib = den
+    return next(i for i, c in enumerate(fib) if c.key)
 
 
 def oracle_profile(R, max_degree=4):
