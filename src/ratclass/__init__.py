@@ -5,7 +5,9 @@ transformations on either side.
 The public surface: build a field with field_create, expressions with
 expr or parse_expression, then classify them, compare them with
 are_equivalent, inspect ramification, and enumerate whole class
-partitions with all_classes.
+partitions with all_classes.  Expressions are normalized values with
+no arithmetic of their own: sums, products and quotients are written
+as text for parse_expression, and Moebius maps act through act.
 """
 
 from .classify import (CASES, ClassLabel, Witness, are_equivalent,

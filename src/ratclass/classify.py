@@ -20,7 +20,9 @@ candidate alignments of a class in a fixed order and completes the
 first that admits a B.  The further preimage of a double point's branch
 value comes from algebra, not from a search: _fiber_mate divides the
 double root out of the fiber polynomial and reads the mate off the
-linear cofactor.  Conjugate ramification points are handled over
+linear cofactor, and _split_fibers takes the two-point fibers of a
+separable characteristic-2 quadratic from the quadratic formula, value
+by value, until one aligns.  Conjugate ramification points are handled over
 F_{q^2} using the canonical tau, and the alignment maps are checked to
 be Frobenius-stable rather than assumed, so they descend to F_q.
 """
@@ -31,8 +33,9 @@ import functools
 import math
 import weakref
 
-from .ffield import (canonical_sigma, canonical_tau, canonical_theta, embed,
-                     extend, frobenius, is_square, sqrt)
+from .ffield import (_artin_schreier_root, canonical_sigma, canonical_tau,
+                     canonical_theta, embed, extend, frobenius, is_square,
+                     sqrt, trace_absolute)
 from .moebius import (Moebius, PairAction, act, cross_ratio, enumerate_pgl2,
                       identity, map_triple, post, precompose, s_group_maps,
                       solve_post, three_point_map)
@@ -596,17 +599,37 @@ def _witness_quad_sep_char2(R, prof, T):
     The single ramification point goes to 1; a two-point fiber off the
     branch value supplies the pair sent to {0, infinity}.
     """
-    ctx = R.ctx
-    P = prof.points[0].point
-    qkey = proj_key(prof.points[0].branch)
-    fibers = {}
-    for x in proj_points(ctx):
-        fibers.setdefault(proj_key(R(x)), []).append(x)
-    src = (ctx.one, ctx.zero, INF)
-    return _align(R, T, ((src, (P, u, w))
-                         for vkey, pts in sorted(fibers.items())
-                         if vkey != qkey and len(pts) == 2
+    P, Q = prof.points[0].point, prof.points[0].branch
+    src = (R.ctx.one, R.ctx.zero, INF)
+    return _align(R, T, ((src, (P, u, w)) for pts in _split_fibers(R, Q)
                          for u, w in (pts, pts[::-1])))
+
+
+def _split_fibers(R, Q):
+    """The two-point fibers of a separable quadratic R in characteristic
+    2, lazily, by value in P^1 order, skipping the branch value Q; each
+    fiber is a pair of points in P^1 order.
+
+    The fiber over v is the roots of f = den (v = inf) or of
+    f = num - v den, joined by infinity when f has degree 1; its root
+    is then f0/f1, as -1 = 1.  Off Q a
+    quadratic f is a multiple of x^2 + bx + c with no double root, so
+    b != 0, and it splits exactly when y = c/b^2 has trace 0, into
+    u = b z and u + b for z^2 + z = y.
+    """
+    num, den = ([g.coeff(i) for i in range(3)] for g in (R.num, R.den))
+    for v in proj_points(R.ctx):
+        if proj_key(v) == proj_key(Q):
+            continue
+        f0, f1, f2 = den if v is INF else (n - v * d for n, d in zip(num, den))
+        if not f2.key:
+            yield INF, f0 / f1
+            continue
+        b = f1 / f2
+        y = f0 / (f2 * b * b)
+        if trace_absolute(y).key == 0:
+            u = b * _artin_schreier_root(y)
+            yield tuple(sorted((u, u + b), key=lambda z: z.key))
 
 
 def _witness_char2_v(R, prof):

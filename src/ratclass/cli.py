@@ -17,7 +17,7 @@ import sys
 
 from .classify import (CASES, ClassLabel, are_equivalent, canonical_rep,
                        classify, label_json)
-from .ffield import field_create
+from .ffield import _prime_factors, field_create
 from .orbits import STATEMENTS, all_classes, verify_statement
 from .parse import ParseError, parse_expression
 from .ramify import hurwitz_check, ramification_profile
@@ -45,20 +45,14 @@ def parse_field(text):
         raise ValueError("field designator %r is not p^n" % text)
     if q < 2:
         raise ValueError("field size must be at least 2")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    n = 0
-    m = q
-    while m % p == 0 and m > 1:
-        m //= p
-        n += 1
-    if m != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise ValueError("%d is not a prime power" % q)
+    p = primes[0]
+    n = 0
+    while q > 1:
+        q //= p
+        n += 1
     return field_create(p, n)
 
 

@@ -394,25 +394,3 @@ def s_orbit_min(lam, ctx=None):
     """The least orbit member: inf first, then by element code."""
     return min(s_orbit(lam, ctx), key=proj_key)
 
-
-def s_centralizer_involution(lam, ctx=None):
-    """The commuting involution lam -> (lam-2)/(2*lam-1).
-
-    Faithful (an involution commuting with all of S) only away from
-    characteristics 2 and 3; the formula itself is evaluated projectively
-    in any characteristic, with a ValueError on the characteristic-3
-    degeneration at lam = -1 where it reads 0/0.
-    """
-    if ctx is None:
-        ctx = lam.ctx
-    if lam is INF:
-        num = ctx.one
-        den = ctx.scalar(2)
-    else:
-        num = lam - 2
-        den = 2 * lam - 1
-    if den.key == 0:
-        if num.key == 0:
-            raise ValueError("degenerate value in characteristic 3")
-        return INF
-    return num / den

@@ -4,12 +4,14 @@ Every expression is normalized on construction: numerator and
 denominator are made coprime and the denominator monic, so equal maps
 have identical coefficient tuples and expressions can be hashed,
 compared and sorted.  Evaluation is projective, with INF standing for
-the point at infinity of P^1.
+the point at infinity of P^1.  An expression is a value, not an
+algebra: arithmetic is written as text for parse.parse_expression, and
+composition with Moebius maps is moebius.act, post and precompose.
 """
 
 from __future__ import annotations
 
-from .ffield import DESK_SCALE_BOUND, Fel
+from .ffield import DESK_SCALE_BOUND
 from .poly import Poly, _mk, _trim, divmod_poly, gcd_monic, map_coeffs
 
 
@@ -112,29 +114,6 @@ class RatExpr:
             return INF
         raise AssertionError("common root survived normalization")
 
-    def compose(self, S):
-        """self(S(x)) for a nonconstant S over the same field."""
-        if S.ctx is not self.ctx:
-            raise TypeError("composition across different fields")
-        if S.is_constant:
-            raise ValueError("composition with a constant expression")
-        r = self.degree
-        npow = [_one_poly(self.ctx)]
-        dpow = [_one_poly(self.ctx)]
-        for _ in range(r):
-            npow.append(npow[-1] * S.num)
-            dpow.append(dpow[-1] * S.den)
-        num = Poly(self.ctx, ())
-        den = Poly(self.ctx, ())
-        for i in range(r + 1):
-            c = self.num.coeff(i)
-            if c.key:
-                num = num + c * (npow[i] * dpow[r - i])
-            c = self.den.coeff(i)
-            if c.key:
-                den = den + c * (npow[i] * dpow[r - i])
-        return RatExpr(num, den)
-
     def lift(self, emb):
         """The same expression over the extension reached by emb.
 
@@ -143,70 +122,6 @@ class RatExpr:
         """
         return _normalized(map_coeffs(self.num, emb),
                            map_coeffs(self.den, emb))
-
-    def _lift_operand(self, other):
-        if isinstance(other, RatExpr):
-            if other.ctx is not self.ctx:
-                raise TypeError("expressions over different fields")
-            return other
-        if isinstance(other, (int, Fel)):
-            return RatExpr(Poly(self.ctx, (other,)), _one_poly(self.ctx))
-        return None
-
-    def __add__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        return RatExpr(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatExpr(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        return RatExpr(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero expression")
-        return RatExpr(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._lift_operand(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            if self.num.is_zero:
-                raise ZeroDivisionError("zero expression to a negative power")
-            return RatExpr(self.den ** -e, self.num ** -e)
-        return RatExpr(self.num ** e, self.den ** e)
 
     def __eq__(self, other):
         if not isinstance(other, RatExpr):
@@ -239,10 +154,6 @@ def _normalized(num, den):
     rx.den = den
     rx._key = None
     return rx
-
-
-def _one_poly(ctx):
-    return _mk(ctx, (ctx.one,))
 
 
 def expr(ctx, num_coeffs, den_coeffs=(1,)):

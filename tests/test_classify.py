@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -580,3 +581,64 @@ def test_align_raises_when_no_candidate_completes():
     with pytest.raises(AssertionError, match="no alignment"):
         cl._align(R, T, [(src, (rx.INF, F5.zero, F5.one))])
     assert cl._align(R, R, [(src, src)]) == mb.pair_identity(F5)
+
+
+def scan_split_fibers(R, Q):
+    """The fiber table the classifier used to build: R evaluated at
+    every point of P^1, and its two-point fibers off the branch value Q,
+    by value in P^1 order, each as its points in P^1 order."""
+    fibers = {}
+    for x in rx.proj_points(R.ctx):
+        fibers.setdefault(rx.proj_key(R(x)), []).append(x)
+    return [tuple(pts) for vkey, pts in sorted(fibers.items())
+            if vkey != rx.proj_key(Q) and len(pts) == 2]
+
+
+def sampled_sep_quadratics(ctx, count, rng):
+    """Seeded separable quadratics over a characteristic-2 field."""
+    while count:
+        num, den = ([ctx.from_key(rng.randrange(ctx.q)) for _ in range(3)]
+                    for _ in range(2))
+        if all(c.key == 0 for c in den):
+            continue
+        R = rx.expr(ctx, num, den)
+        if R.degree == 2 and rm.is_separable(R):
+            count -= 1
+            yield R
+
+
+def test_split_fibers_match_scan_oracle():
+    # every separable quadratic over F_2, F_4 and F_8, and seeded samples
+    # over F_16, F_64 and F_{2^14}; over F_{2^14} a classify reads a few
+    # fibers, and the first 16 are compared
+    rng = random.Random(14)
+    cases = [R for ctx in (F2, F4, F8)
+             for R in rx.enumerate_expressions(ctx, 2) if rm.is_separable(R)]
+    for ctx, count in ((F16, 60), (F64, 20), (ff.field_create(2, 14), 1)):
+        cases += sampled_sep_quadratics(ctx, count, rng)
+    at_infinity = 0
+    for R in cases:
+        Q = rm.ramification_profile(R).points[0].branch
+        want, fibers = scan_split_fibers(R, Q), cl._split_fibers(R, Q)
+        if R.ctx.q > 64:
+            want, fibers = want[:16], itertools.islice(fibers, 16)
+        want = [tuple(map(rx.proj_key, pts)) for pts in want]
+        got = [tuple(map(rx.proj_key, pts)) for pts in fibers]
+        assert got == want, (R.ctx.name, str(R))
+        at_infinity += any(pts[0] == rx.proj_key(rx.INF) for pts in got)
+    assert len(cases) == 18 + 900 + 31752 + 81 and at_infinity
+
+
+def test_quad_sep_char2_beyond_a_fiber_table():
+    # no field-sized loop is left on this path: fields up to the
+    # desk-scale bound classify in tens of milliseconds
+    rng = random.Random(24)
+    label = cl.ClassLabel("Quad_SepChar2")
+    for n in (14, 16, 20, 24):
+        ctx = ff.field_create(2, n)
+        T = cl.canonical_rep(label, ctx)
+        for R in sampled_sep_quadratics(ctx, 3, rng):
+            got, w = cl.classify(R)
+            assert got == label and w.target == T
+            moved = mb.act(random_pair(ctx, rng), R)
+            assert cl.classify(moved)[0] == label

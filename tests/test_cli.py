@@ -21,8 +21,13 @@ def test_parse_field():
     assert parse_field("8") is ff.field_create(2, 3)
     assert parse_field("27") is ff.field_create(3, 3)
     assert parse_field("13") is ff.field_create(13)
-    for bad in ("6", "1", "0", "x", "2^", "^3", "12"):
+    assert parse_field("1024") is ff.field_create(2, 10)
+    for bad in ("6", "1", "0", "x", "2^", "^3", "12", "4^2"):
         with pytest.raises(ValueError):
+            parse_field(bad)
+    for bad, msg in (("1", "field size must be at least 2"),
+                     ("12", "12 is not a prime power")):
+        with pytest.raises(ValueError, match=msg):
             parse_field(bad)
 
 
