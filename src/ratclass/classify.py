@@ -12,7 +12,9 @@ carry no witness.
 Witness construction mirrors the structure of each class: a source-side
 transformation A aligns distinguished points (ramification points,
 further preimages of branch values) with those of the canonical form,
-and the target-side transformation B is then read off the pencil: B
+both read off by one rule (_distinguished), so the form's points are
+never written down by hand; the target-side transformation B is then
+read off the pencil: B
 exists exactly when the target's numerator and denominator are linear
 combinations of those of R(A(x)), and its matrix holds their
 coordinates (moebius.solve_post).  One loop, _align, tries the
@@ -22,9 +24,9 @@ value comes from algebra, not from a search: _fiber_mate divides the
 double root out of the fiber polynomial and reads the mate off the
 linear cofactor, and _split_fibers takes the two-point fibers of a
 separable characteristic-2 quadratic from the quadratic formula, value
-by value, until one aligns.  Conjugate ramification points are handled over
-F_{q^2} using the canonical tau, and the alignment maps are checked to
-be Frobenius-stable rather than assumed, so they descend to F_q.
+by value, until one aligns.  Conjugate ramification points are aligned
+over F_{q^2}, and the alignment maps are checked to be Frobenius-stable
+rather than assumed, so they descend to F_q.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ import functools
 import math
 import weakref
 
-from .ffield import (_artin_schreier_root, canonical_sigma, canonical_tau,
-                     canonical_theta, embed, extend, frobenius, is_square,
-                     sqrt, trace_absolute)
-from .moebius import (Moebius, PairAction, act, cross_ratio, enumerate_pgl2,
-                      identity, map_triple, post, precompose, s_group_maps,
-                      solve_post, three_point_map)
+from .ffield import (_artin_schreier_root, canonical_sigma, canonical_theta,
+                     embed, extend, is_square, sqrt, trace_absolute)
+from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
+                      map_triple, pair_identity, pair_scan, post, precompose,
+                      s_group_maps, solve_post, three_point_map)
 from .poly import Poly, _synthetic_div
 from .ramify import is_separable, ramification_profile
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
@@ -408,6 +409,44 @@ def _first_points(ctx, avoid, count):
     raise AssertionError("projective line exhausted")
 
 
+def _distinguished(R, prof):
+    """R's candidate triples of distinguished points, in the order they
+    are tried.
+
+    Two points of equal index come in both orders, followed by a third
+    point: the index-3 point if there is one (embedded into F_{q^2} for
+    a conjugate pair), else infinity for a conjugate pair, else the
+    first other point of P^1.  The (2, 3) profile of characteristics 2
+    and 3 gives the single triple (p3, p2, mate of p2), and the two
+    double points a, b of a characteristic-2 cubic give (a, mate of a,
+    b), then (b, mate of b, a).
+    """
+    pts = prof.points
+    if prof.indices == (2, 3):
+        p2, p3 = sorted(pts, key=lambda pt: pt.index)
+        return [(p3.point, p2.point, _fiber_mate(R, p2))]
+    if R.degree == 3 and prof.indices == (2, 2):
+        (a, ma), (b, mb) = ((pt.point, _fiber_mate(R, pt)) for pt in pts)
+        return [(a, ma, b), (b, mb, a)]
+    low = prof.indices[0]
+    s, t = (pt.point for pt in pts if pt.index == low)
+    rest = [pt.point for pt in pts if pt.index != low]
+    if pts[-1].defining_degree > 1:
+        w = _embed_point(rest[0], extend(R.ctx, 2)[1]) if rest else INF
+    else:
+        w = rest[0] if rest else _first_points(R.ctx, (s, t), 1)[0]
+    return [(s, t, w), (t, s, w)]
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_triple(label, ctx):
+    """The first candidate triple of label's canonical form: where a
+    witness sends the candidates _distinguished reads off the input.
+    Cached per (label, field) like canonical_rep."""
+    T = canonical_rep(label, ctx)
+    return _distinguished(T, ramification_profile(T))[0]
+
+
 def _witness_power_insep(R, r):
     """Witness for an inseparable R, which equals N(x^r) coefficientwise."""
     ctx = R.ctx
@@ -417,47 +456,6 @@ def _witness_power_insep(R, r):
     N = Moebius(ctx, R.num.coeff(r), R.num.coeff(0),
                 R.den.coeff(r), R.den.coeff(0))
     return PairAction(N.inverse(), identity(ctx))
-
-
-def _witness_power(R, prof, T):
-    """Witness onto x^r for a pair of rational ramification points."""
-    ctx = R.ctx
-    p1, p2 = (pt.point for pt in prof.points)
-    w = _first_points(ctx, (p1, p2), 1)[0]
-    src = (INF, ctx.zero, ctx.one)
-    return _align(R, T, ((src, (p1, p2, w)), (src, (p2, p1, w))))
-
-
-def _witness_two_point_conj(R, prof, T):
-    """Witness onto the twisted two-point form for conjugate points."""
-    ctx = R.ctx
-    em = extend(ctx, 2)[1]
-    tau = canonical_tau(ctx)
-    tauc = frobenius(tau, ctx.n)
-    r1, r2 = (pt.point for pt in prof.points)
-    src = (tau, tauc, INF)
-    return _align(R, T, ((src, (r1, r2, INF)), (src, (r2, r1, INF))), em)
-
-
-def _witness_dickson(R, prof, T):
-    """Witness onto x^3 - 3x for three rational ramification points."""
-    p3 = next(pt.point for pt in prof.points if pt.index == 3)
-    t1, t2 = (pt.point for pt in prof.points if pt.index == 2)
-    one = R.ctx.one
-    src = (INF, one, -one)
-    return _align(R, T, ((src, (p3, t1, t2)), (src, (p3, t2, t1))))
-
-
-def _witness_dickson_conj(R, prof, T):
-    """Witness onto x^3 - 3 sigma x: conjugate pair plus a rational point."""
-    ctx = R.ctx
-    em = extend(ctx, 2)[1]
-    tau = canonical_tau(ctx)
-    p3 = next(pt.point for pt in prof.points if pt.index == 3)
-    p3e = INF if p3 is INF else em(p3)
-    t1, t2 = (pt.point for pt in prof.points if pt.index == 2)
-    src = (tau, -tau, INF)
-    return _align(R, T, ((src, (t1, t2, p3e)), (src, (t2, t1, p3e))), em)
 
 
 def _scale(ctx, s):
@@ -632,48 +630,25 @@ def _split_fibers(R, Q):
             yield tuple(sorted((u, u + b), key=lambda z: z.key))
 
 
-def _witness_char2_v(R, prof):
-    """Witness onto (x^3+c)/(x+c) (two rational double points, char 2).
+def _char2_double_label(triples, em):
+    """The Cubic2_v or Cubic2_vi label of a cubic with two double points
+    a, b (characteristic 2), from the cross-ratio rho of a, its fiber
+    mate, b and its mate, as _distinguished lists them.
 
-    c is the cross-ratio invariant of the two ramification points and
-    their further preimages, normalized so the four distinguished
-    points of the target are infinity, c, 1, 0.  Returns (c, pair).
+    Rational points give c = rho / (1 + rho).  For a conjugate pair rho
+    is Galois-stable, and its base-field value gives b with rho =
+    1/(b+1)^2.
     """
-    ctx = R.ctx
-    pa, pb = (pt.point for pt in prof.points)
-    pap, pbp = (_fiber_mate(R, pt) for pt in prof.points)
-    rho = cross_ratio(pa, pap, pb, pbp)
-    c = rho / (ctx.one + rho)
-    if c * c == c:
-        raise AssertionError("degenerate fiber cross-ratio for %s" % R)
-    T = canonical_rep(ClassLabel("Cubic2_v", {"c": c}), ctx)
-    src = (INF, c, ctx.one)
-    return c, _align(R, T, ((src, (pa, pap, pb)), (src, (pb, pbp, pa))))
-
-
-def _witness_char2_vi(R, prof):
-    """Witness onto the conjugate-double-point form for char 2.
-
-    The two conjugate ramification points and their further preimages
-    have a Galois-stable cross-ratio; its base-field value yields the
-    parameter b with cr = 1/(b+1)^2.  Returns (b, pair).
-    """
-    ctx = R.ctx
-    n = ctx.n
-    em = extend(ctx, 2)[1]
-    rho, rhoc = (pt.point for pt in prof.points)
-    rhop = _fiber_mate(R, prof.points[0])
-    rhopc = frobenius(rhop, n)
-    cr = em.preimage(cross_ratio(rho, rhop, rhoc, rhopc))
-    b = ctx.one + sqrt(ctx.one / cr)
-    if b * b == b:
-        raise AssertionError("degenerate fiber cross-ratio for %s" % R)
-    T = canonical_rep(ClassLabel("Cubic2_vi", {"b": b}), ctx)
-    tau = canonical_tau(ctx)
-    tauc = frobenius(tau, n)
-    src = (tau, tau + em(b), tauc)
-    return b, _align(R, T, ((src, (rho, rhop, rhoc)),
-                            (src, (rhoc, rhopc, rho))), em)
+    (a, ma, b), (_, mb, _) = triples
+    rho = cross_ratio(a, ma, b, mb)
+    if em is None:
+        case, name, v = "Cubic2_v", "c", rho / (rho.ctx.one + rho)
+    else:
+        rho = em.preimage(rho)
+        case, name, v = "Cubic2_vi", "b", rho.ctx.one + sqrt(rho.ctx.one / rho)
+    if v * v == v:
+        raise AssertionError("degenerate fiber cross-ratio")
+    return ClassLabel(case, {name: v})
 
 
 # ---------------------------------------------------------------------------
@@ -752,152 +727,103 @@ def four_point_invariants(R):
 # classification
 
 
-def classify_quadratic(R):
-    """Classify a quadratic expression: returns (label, witness).
+# the classes of two points of equal index, rational or a conjugate
+# pair, by degree and min(p, 5)
+_TWO_POINT = {
+    (2, 3): ("Quad_X2", "Quad_TwoPointTwist"),
+    (2, 5): ("Quad_X2", "Quad_TwoPointTwist"),
+    (3, 2): ("Cubic2_i", "Cubic2_ii"),
+    (3, 5): ("Cubic_X3", "Cubic_TwoPointTwist"),
+}
 
-    Odd characteristic splits on whether the two ramification points
-    are rational; characteristic 2 splits on separability.  The witness
-    maps R onto canonical_rep(label, R.ctx) and is verified exactly.
+
+def classify(R):
+    """Classify a quadratic or cubic expression: returns (label, witness).
+
+    An inseparable expression (p = deg R) is N(x^p) for a Moebius N;
+    every other class is read off the ramification profile.  Cubics with
+    four ramification points get a FourPoint label built from
+    cross-ratio invariants and no witness.  The separable
+    characteristic-2 quadratic and the single wild points of
+    characteristics 2 and 3 have witnesses of their own; every other
+    class aligns R's distinguished points (_distinguished) with those of
+    its canonical form (_canonical_triple), over F_{q^2} when they are
+    conjugate.  Each witness maps R onto canonical_rep(label, R.ctx) and
+    is verified exactly.
     """
-    if R.degree != 2:
-        raise ValueError("classify_quadratic needs a degree-2 expression")
-    ctx = R.ctx
-    if ctx.p == 2:
-        if not is_separable(R):
-            label = ClassLabel("Quad_X2_Insep")
-            pair = _witness_power_insep(R, 2)
-        else:
-            label = ClassLabel("Quad_SepChar2")
-            prof = ramification_profile(R)
-            pair = _witness_quad_sep_char2(R, prof, canonical_rep(label, ctx))
-    else:
-        prof = ramification_profile(R)
-        degs = sorted(pt.defining_degree for pt in prof.points)
-        if degs == [1, 1]:
-            label = ClassLabel("Quad_X2")
-            pair = _witness_power(R, prof, canonical_rep(label, ctx))
-        elif degs == [2, 2]:
-            label = ClassLabel("Quad_TwoPointTwist")
-            pair = _witness_two_point_conj(R, prof, canonical_rep(label, ctx))
-        else:
-            raise AssertionError("impossible quadratic profile %s" % degs)
-    return label, Witness(pair, R, canonical_rep(label, ctx))
-
-
-def classify_cubic(R):
-    """Classify a cubic expression: returns (label, witness or None).
-
-    Expressions with four ramification points get a FourPoint label
-    built from cross-ratio invariants and no witness; every other label
-    comes with a verified witness onto its canonical representative.
-    """
-    if R.degree != 3:
-        raise ValueError("classify_cubic needs a degree-3 expression")
+    r = R.degree
+    if r not in (2, 3):
+        raise ValueError("can only classify quadratic and cubic expressions")
     ctx = R.ctx
     p = ctx.p
-    if p == 3 and not is_separable(R):
-        label = ClassLabel("Cubic3_X3_Insep")
-        pair = _witness_power_insep(R, 3)
-        return label, Witness(pair, R, canonical_rep(label, ctx))
+    if p == r and not is_separable(R):
+        label = ClassLabel("Quad_X2_Insep" if p == 2 else "Cubic3_X3_Insep")
+        return label, Witness(_witness_power_insep(R, r), R,
+                              canonical_rep(label, ctx))
     prof = ramification_profile(R)
     idx = prof.indices
     if idx == (2, 2, 2, 2):
         return _four_point_label(R, prof), None
-    if idx == (2, 3) and p < 5:
-        # x^3 + x^2 ramifies to index 3 at infinity and to index 2 at 0,
-        # whose fiber mate is -1; only the identity pair fixes it, so
-        # one alignment is the whole search
-        label = ClassLabel("Cubic3_X3X2" if p == 3 else "Cubic2_iii")
-        p3 = next(pt for pt in prof.points if pt.index == 3)
-        p2 = next(pt for pt in prof.points if pt.index == 2)
-        src = (INF, ctx.zero, -ctx.one)
-        dst = (p3.point, p2.point, _fiber_mate(R, p2))
-        pair = _align(R, canonical_rep(label, ctx), ((src, dst),))
-    elif p >= 5:
-        if idx == (3, 3):
-            degs = sorted(pt.defining_degree for pt in prof.points)
-            if degs == [1, 1]:
-                label = ClassLabel("Cubic_X3")
-                pair = _witness_power(R, prof, canonical_rep(label, ctx))
-            else:
-                label = ClassLabel("Cubic_TwoPointTwist")
-                pair = _witness_two_point_conj(
-                    R, prof, canonical_rep(label, ctx))
-        elif idx == (2, 2, 3):
-            degs = sorted(pt.defining_degree for pt in prof.points
-                          if pt.index == 2)
-            if degs == [1, 1]:
-                label = ClassLabel("Cubic_Dickson")
-                pair = _witness_dickson(R, prof, canonical_rep(label, ctx))
-            else:
-                label = ClassLabel("Cubic_DicksonTwist")
-                pair = _witness_dickson_conj(
-                    R, prof, canonical_rep(label, ctx))
-        else:
-            raise AssertionError("impossible cubic profile %s" % (idx,))
-    elif p == 3:
-        if idx == (3,):
-            case, pair = _witness_char3_wild(R, prof)
-            label = ClassLabel(case)
-        else:
-            raise AssertionError("impossible cubic profile %s" % (idx,))
+    if r == 2 and p == 2:
+        label = ClassLabel("Quad_SepChar2")
+        pair = _witness_quad_sep_char2(R, prof, canonical_rep(label, ctx))
+    elif idx == (3,):
+        case, pair = _witness_char3_wild(R, prof)
+        label = ClassLabel(case)
+    elif idx == (2,):
+        k, pair = _witness_char2_iv(R, prof)
+        label = ClassLabel("Cubic2_iv", {"k": k})
     else:
-        if idx == (3, 3):
-            degs = sorted(pt.defining_degree for pt in prof.points)
-            if degs == [1, 1]:
-                label = ClassLabel("Cubic2_i")
-                pair = _witness_power(R, prof, canonical_rep(label, ctx))
-            else:
-                label = ClassLabel("Cubic2_ii")
-                pair = _witness_two_point_conj(
-                    R, prof, canonical_rep(label, ctx))
-        elif idx == (2,):
-            k, pair = _witness_char2_iv(R, prof)
-            label = ClassLabel("Cubic2_iv", {"k": k})
-        elif idx == (2, 2):
-            degs = sorted(pt.defining_degree for pt in prof.points)
-            if degs == [1, 1]:
-                c, pair = _witness_char2_v(R, prof)
-                label = ClassLabel("Cubic2_v", {"c": c})
-            else:
-                b, pair = _witness_char2_vi(R, prof)
-                label = ClassLabel("Cubic2_vi", {"b": b})
+        conj = prof.points[-1].defining_degree > 1
+        em = extend(ctx, 2)[1] if conj else None
+        triples = _distinguished(R, prof)
+        if idx == (2, 3):
+            label = ClassLabel("Cubic3_X3X2" if p == 3 else "Cubic2_iii")
+        elif idx == (2, 2, 3):
+            label = ClassLabel("Cubic_DicksonTwist" if conj
+                               else "Cubic_Dickson")
+        elif r == 3 and idx == (2, 2):
+            label = _char2_double_label(triples, em)
+        elif idx == (r, r):
+            label = ClassLabel(_TWO_POINT[r, min(p, 5)][conj])
         else:
-            raise AssertionError("impossible cubic profile %s" % (idx,))
+            raise AssertionError("impossible profile %s" % (idx,))
+        src = _canonical_triple(label, ctx)
+        pair = _align(R, canonical_rep(label, ctx),
+                      ((src, dst) for dst in triples), em)
     return label, Witness(pair, R, canonical_rep(label, ctx))
 
 
-def classify(R):
-    """Dispatch on degree: quadratics and cubics only."""
-    if R.degree == 2:
-        return classify_quadratic(R)
-    if R.degree == 3:
-        return classify_cubic(R)
-    raise ValueError("can only classify quadratic and cubic expressions")
+def classify_quadratic(R):
+    """classify for a degree-2 expression: returns (label, witness)."""
+    if R.degree != 2:
+        raise ValueError("classify_quadratic needs a degree-2 expression")
+    return classify(R)
+
+
+def classify_cubic(R):
+    """classify for a degree-3 expression: returns (label, witness or
+    None)."""
+    if R.degree != 3:
+        raise ValueError("classify_cubic needs a degree-3 expression")
+    return classify(R)
 
 
 def are_equivalent(R, R2):
-    """Search for a pair with act(pair, R) = R2; None when inequivalent.
+    """A pair with act(pair, R) = R2, or None when they are inequivalent.
 
-    For each source candidate A the target-side B is read off the
-    pencil of R(A^{-1}(x)) by one linear solve over the base field, so
-    the scan is linear in the size of the Moebius group.  Raises
-    ValueError when the group is too large to enumerate.
+    The first pair of moebius.pair_scan: for each source map A, B is
+    read off the pencil of R(A^{-1}(x)) by one linear solve over the
+    base field, so the scan is linear in the size of the Moebius group.
+    Raises ValueError when the group is too large to enumerate.
     """
     if R.ctx is not R2.ctx:
         raise ValueError("expressions live over different fields")
     if R.degree != R2.degree:
         raise ValueError("expressions have different degrees")
-    ctx = R.ctx
-    idm = identity(ctx)
     if R == R2:
-        return PairAction(idm, idm)
-    for A in enumerate_pgl2(ctx):
-        S = act(PairAction(idm, A), R)
-        B = solve_post(S, R2)
-        if B is not None:
-            return PairAction(B, A)
-    return None
+        return pair_identity(R.ctx)
+    return next(pair_scan(R, R2), None)
 
 
 def label_json(label, ctx, witness=None):

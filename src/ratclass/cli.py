@@ -146,7 +146,7 @@ def cmd_equiv(args, ctx):
 
 
 def cmd_orbits(args, ctx):
-    report = all_classes(ctx, args.degree, args.limit)
+    report = all_classes(ctx, args.degree)
     if args.json:
         _emit(args, report.to_json(ctx))
         return 0
@@ -163,7 +163,7 @@ def cmd_orbits(args, ctx):
 
 
 def cmd_verify(args, ctx):
-    ok, details = verify_statement(ctx, args.statement, args.limit)
+    ok, details = verify_statement(ctx, args.statement)
     if args.json:
         data = dict(details)
         data["ok"] = ok
@@ -215,8 +215,6 @@ def build_parser():
                         help="field designator p^n, e.g. 5 or 2^2")
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
-    common.add_argument("--limit", type=int, default=None,
-                        help="override the enumeration size bound")
     parser = _ArgParser(
         prog="ratclass",
         description="classify rational expressions over finite fields "

@@ -342,6 +342,22 @@ def enumerate_pgl2(ctx):
     return out
 
 
+def pair_scan(R, T):
+    """Every pair (B, A) with act((B, A), R) = T, by A in enumerate_pgl2
+    order.
+
+    R(A^{-1}(x)) is substituted as in act but with no B folded in, and
+    B is read off its pencil by solve_post; the action of B is free, so
+    each A gives at most one pair.  Raises ValueError when the group is
+    too large to enumerate.
+    """
+    for A in enumerate_pgl2(R.ctx):
+        S = _monic_over(R.ctx, *_substitute(R, A.d, -A.b, -A.c, A.a))
+        B = solve_post(S, T)
+        if B is not None:
+            yield PairAction(B, A)
+
+
 def cross_ratio(x1, x2, x3, x4):
     """The cross-ratio (x1-x3)(x2-x4) / ( (x2-x3)(x1-x4) ).
 

@@ -13,7 +13,7 @@ import itertools
 
 from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import DESK_SCALE_BOUND
-from .moebius import enumerate_pgl2, post, precompose, solve_post
+from .moebius import enumerate_pgl2, pair_scan, post, precompose
 from .poly import Poly, gcd_monic
 from .ratexpr import count_expressions, enumerate_expressions
 
@@ -48,17 +48,16 @@ def coprime_pair_count(ctx, r, s):
     return n
 
 
-def _check_scale(ctx, degree, limit):
+def _check_scale(ctx, degree):
     total = count_expressions(ctx, degree)
-    bound = DESK_SCALE_BOUND if limit is None else limit
-    if total > bound:
+    if total > DESK_SCALE_BOUND:
         raise ValueError(
             "%d expressions of degree %d over %s exceed the limit %d"
-            % (total, degree, ctx.name, bound))
+            % (total, degree, ctx.name, DESK_SCALE_BOUND))
     return total
 
 
-def orbit_of(R, limit=None):
+def orbit_of(R):
     """The full orbit of R as a set.
 
     The orbit is the union over A of the post-orbits {B(R(A(x)))}, so
@@ -67,7 +66,7 @@ def orbit_of(R, limit=None):
     union of whole post-orbits at every step.
     """
     ctx = R.ctx
-    _check_scale(ctx, R.degree, limit)
+    _check_scale(ctx, R.degree)
     group = enumerate_pgl2(ctx)
     seen = set()
     for A in group:
@@ -81,16 +80,11 @@ def stabilizer_order(R):
     """Number of pairs fixing R.
 
     For each source-side A the target side is forced: at most one B can
-    satisfy B(R(A^{-1}(x))) = R, and solve_post reads it off the pencil
-    of R(A(x)), so one linear solve per group element decides
-    membership.
+    satisfy B(R(A^{-1}(x))) = R, and moebius.pair_scan reads it off the
+    pencil of R(A^{-1}(x)), so one linear solve per group element
+    decides membership.
     """
-    n = 0
-    for A in enumerate_pgl2(R.ctx):
-        S = precompose(R, A)
-        if solve_post(S, R) is not None:
-            n += 1
-    return n
+    return sum(1 for _ in pair_scan(R, R))
 
 
 class OrbitReport:
@@ -148,7 +142,7 @@ def _label_sort_key(label):
             tuple((k, _param_sort_key(v)) for k, v in label.params))
 
 
-def all_classes(ctx, degree, limit=None):
+def all_classes(ctx, degree):
     """Partition every degree-2 or degree-3 expression into classes.
 
     Expressions are bucketed by classification label.  A non-FourPoint
@@ -159,7 +153,7 @@ def all_classes(ctx, degree, limit=None):
     """
     if degree not in (2, 3):
         raise ValueError("class partitions cover degrees 2 and 3 only")
-    total_expected = _check_scale(ctx, degree, limit)
+    total_expected = _check_scale(ctx, degree)
     buckets = {}
     for R in enumerate_expressions(ctx, degree):
         label = classify(R)[0]
@@ -175,7 +169,7 @@ def all_classes(ctx, degree, limit=None):
             remaining = set(members)
             while remaining:
                 seed = min(remaining, key=lambda R: R.key)
-                orb = orbit_of(seed, limit)
+                orb = orbit_of(seed)
                 if not orb <= remaining:
                     raise AssertionError(
                         "orbit of %s leaks out of its invariant bucket"
@@ -221,7 +215,7 @@ def _expected_char2_cubic(q):
     return expected
 
 
-def verify_statement(ctx, statement, limit=None):
+def verify_statement(ctx, statement):
     """Check one closed-form statement against enumeration.
 
     Returns (ok, details); details is a JSON-ready dict recording both
@@ -232,8 +226,9 @@ def verify_statement(ctx, statement, limit=None):
     if statement == "expr-count":
         details = {"statement": statement, "q": q, "degrees": {}}
         ok = True
+        # the cubics outnumber the quadratics, so one check bounds both
+        _check_scale(ctx, 3)
         for degree in (2, 3):
-            _check_scale(ctx, degree, limit)
             formula = count_expressions(ctx, degree)
             observed = sum(1 for _ in enumerate_expressions(ctx, degree))
             # expressions of degree r are (q-1) copies of the monic
@@ -249,7 +244,7 @@ def verify_statement(ctx, statement, limit=None):
             ok = ok and formula == observed == pairs * (q - 1)
         return ok, details
     if statement == "quad-counts":
-        report = all_classes(ctx, 2, limit)
+        report = all_classes(ctx, 2)
         observed = sorted(c["size"] for c in report.classes)
         expected = _expected_quad_sizes(q, ctx.p)
         ok = observed == expected and report.class_count == 2
@@ -258,7 +253,7 @@ def verify_statement(ctx, statement, limit=None):
     if statement == "char2-cubic-counts":
         if ctx.p != 2:
             raise ValueError("statement needs characteristic 2")
-        report = all_classes(ctx, 3, limit)
+        report = all_classes(ctx, 3)
         expected = _expected_char2_cubic(q)
         observed = report.sizes_by_case()
         ok = observed == expected
@@ -267,7 +262,7 @@ def verify_statement(ctx, statement, limit=None):
     if statement == "six-counts":
         if ctx.p < 5:
             raise ValueError("statement needs characteristic at least 5")
-        report = all_classes(ctx, 3, limit)
+        report = all_classes(ctx, 3)
         expected = {
             "Cubic_X3": [group_sq // (2 * (q - 1))],
             "Cubic_TwoPointTwist": [group_sq // (2 * (q + 1))],
@@ -286,7 +281,7 @@ def verify_statement(ctx, statement, limit=None):
                     "four_point_total": {"formula": four_total,
                                          "observed": sum(four)}}
     if statement == "class-bound":
-        report = all_classes(ctx, 3, limit)
+        report = all_classes(ctx, 3)
         bound = 6 * q - 2
         ok = report.class_count <= bound
         return ok, {"statement": statement, "q": q,

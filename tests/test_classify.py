@@ -642,3 +642,166 @@ def test_quad_sep_char2_beyond_a_fiber_table():
             assert got == label and w.target == T
             moved = mb.act(random_pair(ctx, rng), R)
             assert cl.classify(moved)[0] == label
+
+
+def hand_triples(label, ctx):
+    """The canonical form's distinguished points as the per-class witness
+    helpers once wrote them down by hand: the oracle for
+    _canonical_triple."""
+    case = label.case
+    zero, one = ctx.zero, ctx.one
+    if case in ("Quad_X2", "Cubic_X3", "Cubic2_i"):
+        return (rx.INF, zero, one)
+    if case in ("Cubic3_X3X2", "Cubic2_iii"):
+        return (rx.INF, zero, -one)
+    if case == "Cubic_Dickson":
+        return (rx.INF, one, -one)
+    if case == "Cubic2_v":
+        return (rx.INF, label.param("c"), one)
+    em = ff.extend(ctx, 2)[1]
+    tau = ff.canonical_tau(ctx)
+    tauc = ff.frobenius(tau, ctx.n)
+    if case == "Cubic_DicksonTwist":
+        return (tau, -tau, rx.INF)
+    if case == "Cubic2_vi":
+        return (tau, tau + em(label.param("b")), tauc)
+    return (tau, tauc, rx.INF)
+
+
+# the classes whose witness aligns distinguished points
+ALIGNED = ("Quad_X2", "Quad_TwoPointTwist", "Cubic_X3",
+           "Cubic_TwoPointTwist", "Cubic_Dickson", "Cubic_DicksonTwist",
+           "Cubic3_X3X2", "Cubic2_i", "Cubic2_ii", "Cubic2_iii", "Cubic2_v",
+           "Cubic2_vi")
+
+
+def hand_witness(R):
+    """(label, pair) as the per-class helpers built them: hand_triples
+    for the form, the input's points listed per class, the char-2
+    double-point parameter from its own cross-ratio, and the mate of a
+    conjugate point by Frobenius.  None outside ALIGNED."""
+    ctx, p = R.ctx, R.ctx.p
+    if p == R.degree and not rm.is_separable(R):
+        return None
+    prof = rm.ramification_profile(R)
+    idx, pts = prof.indices, prof.points
+    conj = pts[-1].defining_degree > 1
+    em = ff.extend(ctx, 2)[1] if conj else None
+    at = lambda i: [pt.point for pt in pts if pt.index == i]
+    if idx == (2, 3):
+        case = "Cubic3_X3X2" if p == 3 else "Cubic2_iii"
+        p2 = next(pt for pt in pts if pt.index == 2)
+        dsts = [(at(3)[0], p2.point, cl._fiber_mate(R, p2))]
+        label = cl.ClassLabel(case)
+    elif idx == (2, 2, 3):
+        (p3,), (t1, t2) = at(3), at(2)
+        if conj:
+            label = cl.ClassLabel("Cubic_DicksonTwist")
+            p3 = cl._embed_point(p3, em)
+            dsts = [(t1, t2, p3), (t2, t1, p3)]
+        else:
+            label = cl.ClassLabel("Cubic_Dickson")
+            dsts = [(p3, t1, t2), (p3, t2, t1)]
+    elif R.degree == 3 and p == 2 and idx == (2, 2):
+        a, b = (pt.point for pt in pts)
+        ma = cl._fiber_mate(R, pts[0])
+        mb2 = ff.frobenius(ma, ctx.n) if conj else cl._fiber_mate(R, pts[1])
+        rho = mb.cross_ratio(a, ma, b, mb2)
+        if conj:
+            label = cl.ClassLabel(
+                "Cubic2_vi", {"b": ctx.one + ff.sqrt(ctx.one / em.preimage(rho))})
+        else:
+            label = cl.ClassLabel("Cubic2_v", {"c": rho / (ctx.one + rho)})
+        dsts = [(a, ma, b), (b, mb2, a)]
+    elif idx in ((2, 2), (3, 3)):
+        names = {2: ("Quad_X2", "Quad_TwoPointTwist"),
+                 3: ("Cubic2_i", "Cubic2_ii") if p == 2
+                 else ("Cubic_X3", "Cubic_TwoPointTwist")}[R.degree]
+        label = cl.ClassLabel(names[conj])
+        s, t = (pt.point for pt in pts)
+        w = rx.INF if conj else cl._first_points(ctx, (s, t), 1)[0]
+        dsts = [(s, t, w), (t, s, w)]
+    else:
+        return None
+    src = hand_triples(label, ctx)
+    T = cl.canonical_rep(label, ctx)
+    return label, cl._align(R, T, [(src, dst) for dst in dsts], em)
+
+
+def aligned_labels(ctx, params):
+    """Every label of ALIGNED that fits ctx, with up to params values of
+    the Cubic2_v and Cubic2_vi parameters."""
+    out = []
+    for case in ALIGNED:
+        if case in ("Cubic2_v", "Cubic2_vi"):
+            name = "c" if case == "Cubic2_v" else "b"
+            keys = sorted({2, ctx.q // 2, ctx.q - 1})[:params]
+            out += [cl.ClassLabel(case, {name: ctx.from_key(k)})
+                    for k in keys if 2 <= k < ctx.q]
+        else:
+            out.append(cl.ClassLabel(case))
+    good = []
+    for label in out:
+        try:
+            cl.canonical_rep(label, ctx)
+        except ValueError:
+            continue
+        good.append(label)
+    return good
+
+
+def test_canonical_triples_match_hand_triples():
+    fields = [ff.field_create(p, n) for p in (2, 3, 5, 7, 11, 13)
+              for n in range(1, 9) if p ** n <= 256]
+    fields += [ff.field_create(p) for p in (17, 19, 23, 29, 31, 37, 41, 43,
+                                            47, 53, 59, 61, 67, 71, 73, 79,
+                                            83, 89, 97, 101, 251)]
+    seen = set()
+    for ctx in fields:
+        for label in aligned_labels(ctx, 3):
+            want = hand_triples(label, ctx)
+            if label.case == "Cubic_Dickson":
+                # the helper listed the index-3 point first and the
+                # input's points in the same rotation: the same maps
+                want = want[1:] + want[:1]
+            got = cl._canonical_triple(label, ctx)
+            assert [rx.proj_key(P) for P in got] == \
+                [rx.proj_key(P) for P in want], (label, ctx.name)
+            assert {P.ctx.q for P in got if P is not rx.INF} == \
+                {P.ctx.q for P in want if P is not rx.INF}
+            seen.add(label.case)
+    assert seen == set(ALIGNED)
+
+
+def check_against_hand(R):
+    label, w = cl.classify(R)
+    old = hand_witness(R)
+    assert (old is None) == (label.case not in ALIGNED), str(R)
+    if old is not None:
+        assert old[0] == label and old[1] == w.pair, (R.ctx.name, str(R))
+    return label.case
+
+
+def test_witnesses_match_hand_helpers_exhaustively():
+    seen = set()
+    for ctx in (F2, F3, F4):
+        for degree in (2, 3):
+            for R in rx.enumerate_expressions(ctx, degree):
+                seen.add(check_against_hand(R))
+    assert {"Quad_X2", "Quad_TwoPointTwist", "Cubic3_X3X2", "Cubic2_i",
+            "Cubic2_ii", "Cubic2_iii", "Cubic2_v", "Cubic2_vi"} <= seen
+
+
+def test_witnesses_match_hand_helpers_on_images():
+    rng = random.Random(5)
+    seen = set()
+    for p, n in ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                 (5, 2), (3, 3), (2, 5), (7, 2), (2, 6), (3, 4), (101, 1)):
+        ctx = ff.field_create(p, n)
+        for label in aligned_labels(ctx, 2):
+            T = cl.canonical_rep(label, ctx)
+            for _ in range(3):
+                R = mb.act(random_pair(ctx, rng), T)
+                assert check_against_hand(R) == label.case
+                seen.add(label.case)
+    assert seen == set(ALIGNED)

@@ -148,11 +148,14 @@ def test_verify_command(capsys):
     assert data["degrees"]["3"]["enumerated"] == 1944
 
 
-def test_verify_limit_guard(capsys):
-    code, out, err = run(capsys, "verify", "--field", "3",
-                         "--statement", "expr-count", "--limit", "10")
-    assert code == 1
-    assert "exceed the limit 10" in err
+def test_orbits_scale_guard(capsys):
+    # 16^5 * 255 cubics over F_16 exceed the desk-scale bound, which no
+    # option overrides
+    code, out, err = run(capsys, "orbits", "--field", "16", "--degree", "3")
+    assert code == 1 and out == ""
+    assert "exceed the limit 16777216" in err
+    code, out, err = run(capsys, "orbits", "--help")
+    assert code == 0 and "--limit" not in out
 
 
 def test_canon_command(capsys):

@@ -73,6 +73,7 @@ def test_normalization_and_group_laws():
     ident = mb.identity(F5)
     rng = random.Random(0)
     group = mb.enumerate_pgl2(F5)
+    pool = list(rx.enumerate_expressions(F5, 2))
     for _ in range(50):
         M = rng.choice(group)
         N = rng.choice(group)
@@ -80,6 +81,16 @@ def test_normalization_and_group_laws():
         # composition matches composition of the induced expressions
         left = M.compose(N).as_ratexpr()
         assert left == compose_chain(M.as_ratexpr(), N.as_ratexpr())
+        # post, precompose and act skip the gcd but must still land on
+        # the normal form (monic denominator) that the oracle computes
+        R = rng.choice(pool)
+        m, n = M.as_ratexpr(), N.as_ratexpr()
+        for got, want in (
+                (mb.post(M, R), compose_chain(m, R)),
+                (mb.precompose(R, N), compose_chain(R, n)),
+                (mb.act(mb.PairAction(M, N), R),
+                 compose_chain(m, R, N.inverse().as_ratexpr()))):
+            assert got == want and got.den.coeffs[-1] == F5.one
     # (x+1) composed with (2x) is 2x+1
     shift = mb.Moebius(F5, 1, 1, 0, 1)
     double = mb.Moebius(F5, 2, 0, 0, 1)

@@ -109,15 +109,12 @@ def test_orbit_of_matches_breadth_first_oracle(f3_cubic):
 
 
 def test_orbit_scale_guard():
-    R = rx.expr(F2, (0, 0, 0, 1))
-    assert len(ob.orbit_of(R, limit=96)) == 18
-    with pytest.raises(ValueError):
-        ob.orbit_of(R, limit=95)
-    # 16^5 * 255 expressions sit far beyond the default bound
-    with pytest.raises(ValueError):
+    assert len(ob.orbit_of(rx.expr(F2, (0, 0, 0, 1)))) == 18
+    # 16^5 * 255 expressions sit far beyond the desk-scale bound
+    with pytest.raises(ValueError, match="exceed the limit 16777216"):
         ob.orbit_of(rx.expr(F16, (0, 0, 0, 1)))
-    with pytest.raises(ValueError):
-        ob.all_classes(F3, 3, limit=10)
+    with pytest.raises(ValueError, match="exceed the limit 16777216"):
+        ob.all_classes(F16, 3)
 
 
 def test_stabilizer_orders_frozen():
@@ -278,8 +275,11 @@ def test_verify_statement_errors():
         ob.verify_statement(F4, "six-counts")
     with pytest.raises(ValueError):
         ob.verify_statement(F5, "char2-cubic-counts")
-    with pytest.raises(ValueError):
-        ob.verify_statement(F3, "expr-count", limit=10)
+    with pytest.raises(ValueError, match="exceed the limit 16777216"):
+        ob.verify_statement(F16, "class-bound")
+    # the cubic count is checked before any quadratic is enumerated
+    with pytest.raises(ValueError, match="degree 3 over F_11"):
+        ob.verify_statement(ff.field_create(11), "expr-count")
     with pytest.raises(ValueError):
         ob.all_classes(F2, 4)
     with pytest.raises(ValueError):
