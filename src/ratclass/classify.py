@@ -36,7 +36,7 @@ import math
 import weakref
 
 from .ffield import (_artin_schreier_root, canonical_sigma, canonical_theta,
-                     embed, extend, is_square, sqrt, trace_absolute)
+                     embed, extend, is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       map_triple, pair_identity, pair_scan, post, precompose,
                       s_group_maps, solve_post, three_point_map)
@@ -625,9 +625,11 @@ def _split_fibers(R, Q):
             continue
         b = f1 / f2
         y = f0 / (f2 * b * b)
-        if trace_absolute(y).key == 0:
+        try:
             u = b * _artin_schreier_root(y)
-            yield tuple(sorted((u, u + b), key=lambda z: z.key))
+        except ValueError:  # trace 1: the fiber has no points over F_q
+            continue
+        yield tuple(sorted((u, u + b), key=lambda z: z.key))
 
 
 def _char2_double_label(triples, em):

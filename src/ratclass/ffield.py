@@ -10,7 +10,8 @@ agree on all canonical data built downstream:
 * the embedding F_{p^a} -> F_{p^b} factors [b:a] into primes in ascending
   order and sends each generator to the least root of its defining
   polynomial at every step, so embeddings along nested ascending towers
-  compose consistently;
+  compose consistently; that root comes from linear algebra over F_p and
+  a split over the smaller field, never over the larger one;
 * square roots return the lesser of the two candidates, and the
   distinguished constants sigma (least nonsquare, or least element of
   absolute trace 1 in characteristic 2), theta (least noncube) and tau
@@ -683,21 +684,36 @@ def canonical_tau(ctx):
 
 
 def _artin_schreier_root(c):
-    """Least z with z^2 + z = c, over a characteristic-2 field."""
+    """Least z with z^2 + z = c (characteristic 2); ValueError if Tr(c) = 1."""
     ctx = c.ctx
     if ctx.p != 2:
         raise ValueError("characteristic 2 only")
-    if trace_absolute(c).key != 0:
+    z, rest = 0, c.key
+    for lead, img, pre in _artin_schreier_basis(ctx):
+        if rest & lead:
+            rest ^= img
+            z ^= pre
+    if rest:
         raise ValueError("%r has absolute trace 1, no root exists" % (c,))
-    cols = []
+    return ctx.from_key(z & ~1)  # the lesser of z and z + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _artin_schreier_basis(ctx):
+    """Echelon basis of the image of z -> z^2 + z, the trace-0 hyperplane,
+    on codes as bit vectors: (lead bit, image, preimage), leads falling."""
+    basis = []
     for i in range(ctx.n):
         b = ctx.from_key(1 << i)
-        cols.append(list((b * b + b).rep))
-    sol = _solve_mod_p(cols, list(c.rep), 2)
-    if sol is None:
-        raise AssertionError("trace said solvable but solve failed")
-    z = ctx.make(sol)
-    return min(z, z + ctx.one)
+        img, pre = (b * b + b).key, 1 << i
+        for lead, bimg, bpre in basis:
+            if img & lead:
+                img ^= bimg
+                pre ^= bpre
+        if img:
+            basis.append((1 << img.bit_length() - 1, img, pre))
+            basis.sort(reverse=True)
+    return tuple(basis)
 
 
 def _solve_mod_p(cols, target, p):
@@ -780,17 +796,31 @@ class Embedding:
 
 
 def _least_root_of_subfield_poly(coeffs, dst):
-    """Least root in dst of the irreducible polynomial over F_p with the
-    given integer coefficients, whose degree divides dst.n.
+    """Least root in dst of the defining polynomial f (integer
+    coefficients) of src = F_{p^m}, 2 <= m | dst.n, split over src only.
 
-    poly.root_of_irreducible splits off one root r; the other roots are
-    its conjugates r^(p^i), and the least of them is returned.
+    A linear solve reads off the minimal polynomial mu over F_p of beta,
+    a generator of the units of the subfield of order p^m in dst; a root
+    rho of mu is split off in src, interned as src.q^2 <= dst.q.  rho ->
+    beta extends to an isomorphism, so src's generator rho^k gives the
+    root r = beta^k of f, and f's roots are r's conjugates r^(p^i).
     """
     from . import poly as _poly
-    base = field_create(dst.p)
-    r = _poly.root_of_irreducible(_poly.Poly(base, coeffs), embed(base, dst))
+    p, m = dst.p, len(coeffs) - 1
+    src, base = field_create(p, m), field_create(p)
+    beta = dst.primitive ** ((dst.q - 1) // (src.q - 1))
+    pows = [dst.one]
+    for _ in range(m):
+        pows.append(pows[-1] * beta)
+    mu = _solve_mod_p([list(w.rep) for w in pows[:m]],
+                      [-c for c in pows[m].rep], p) + [1]
+    rho = _poly.root_of_irreducible(_poly.Poly(base, mu), embed(base, src))
+    log, order = src._log, src.q - 1
+    r = beta ** (log[src.gen.key] * pow(log[rho.key], -1, order))
+    if _poly.Poly(dst, coeffs)(r):
+        raise AssertionError("no root of %r in %s" % (coeffs, dst.name))
     conjugates = [r]
-    for _ in range(len(coeffs) - 2):
+    for _ in range(m - 1):
         conjugates.append(frobenius(conjugates[-1]))
     return min(conjugates)
 

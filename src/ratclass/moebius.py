@@ -317,7 +317,12 @@ def act(pair, R):
 
 
 def enumerate_pgl2(ctx):
-    """All q^3 - q group elements, each exactly once, in a fixed order.
+    """All q^3 - q group elements, each exactly once, as _pgl2 orders them."""
+    return list(_pgl2(ctx))
+
+
+def _pgl2(ctx):
+    """All q^3 - q group elements, lazily, for scans that may stop early.
 
     Normalized representatives have first row (1, b) or (0, 1); the
     (1, b) block runs first, ordered by the codes of (b, c, d), then the
@@ -326,20 +331,18 @@ def enumerate_pgl2(ctx):
     q = ctx.q
     if q ** 3 - q > DESK_SCALE_BOUND:
         raise ValueError("PGL_2(%s) exceeds the enumeration bound" % ctx.name)
-    out = []
     els = list(ctx)
     for b in els:
         for c in els:
             bc = b * c
             for d in els:
                 if d != bc:
-                    out.append(Moebius(ctx, ctx.one, b, c, d))
+                    yield Moebius(ctx, ctx.one, b, c, d)
     zero = ctx.zero
     for c in els:
         if c.key:
             for d in els:
-                out.append(Moebius(ctx, zero, ctx.one, c, d))
-    return out
+                yield Moebius(ctx, zero, ctx.one, c, d)
 
 
 def pair_scan(R, T):
@@ -351,7 +354,7 @@ def pair_scan(R, T):
     each A gives at most one pair.  Raises ValueError when the group is
     too large to enumerate.
     """
-    for A in enumerate_pgl2(R.ctx):
+    for A in _pgl2(R.ctx):
         S = _monic_over(R.ctx, *_substitute(R, A.d, -A.b, -A.c, A.a))
         B = solve_post(S, T)
         if B is not None:

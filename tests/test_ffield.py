@@ -7,6 +7,7 @@ import types
 import pytest
 
 from ratclass import ffield as ff
+from ratclass import poly
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -407,6 +408,36 @@ def test_sqrt_char2_is_unique_root():
         assert r * r == a
 
 
+def test_artin_schreier_root_against_scan():
+    for n in range(1, 9):
+        ctx = ff.field_create(2, n)
+        roots = {}
+        for z in ctx:
+            roots.setdefault(z * z + z, []).append(z)
+        for c in ctx:
+            if c in roots:
+                assert ff._artin_schreier_root(c) == min(roots[c])
+            else:
+                with pytest.raises(ValueError):
+                    ff._artin_schreier_root(c)
+    with pytest.raises(ValueError):
+        ff._artin_schreier_root(ff.field_create(3).one)
+
+
+def test_artin_schreier_root_large_fields():
+    rng = random.Random(5)
+    for n in (14, 24):
+        ctx = ff.field_create(2, n)
+        for _ in range(40):
+            c = ctx.from_key(rng.randrange(ctx.q))
+            if ff.trace_absolute(c).key:
+                with pytest.raises(ValueError):
+                    ff._artin_schreier_root(c)
+            else:
+                z = ff._artin_schreier_root(c)
+                assert z * z + z == c and z < z + ctx.one
+
+
 def test_canonical_sigma():
     cases = {
         (2, 1): 1, (2, 2): 2, (2, 3): 1,
@@ -566,6 +597,58 @@ def test_embedding_images_of_large_towers():
     for (p, a, b), key in pinned.items():
         e = ff.embed(ff.field_create(p, a), ff.field_create(p, b))
         assert e.image_of_generator.key == key
+
+
+def split_least_root(coeffs, dst):
+    """The least root in dst of the irreducible polynomial over F_p with
+    the given integer coefficients, by splitting it over dst: one root
+    from poly.root_of_irreducible, then the least of its conjugates;
+    the oracle for ffield._least_root_of_subfield_poly."""
+    base = ff.field_create(dst.p)
+    r = poly.root_of_irreducible(poly.Poly(base, coeffs), ff.embed(base, dst))
+    conjugates = [r]
+    for _ in range(len(coeffs) - 2):
+        conjugates.append(ff.frobenius(conjugates[-1]))
+    return min(conjugates)
+
+
+def prime_steps(primes):
+    """(src, dst) for every embedding step F_{p^m} -> F_{p^(m l)} with
+    m >= 2, l prime and p^(m l) under the desk-scale bound."""
+    for p in primes:
+        for m in range(2, 13):
+            for ell in (2, 3, 5, 7, 11):
+                if p ** (m * ell) <= ff.DESK_SCALE_BOUND:
+                    yield ff.field_create(p, m), ff.field_create(p, m * ell)
+
+
+def test_subfield_roots_match_split_oracle():
+    steps = list(prime_steps((2, 3, 5, 7, 11, 13)))
+    assert len(steps) == 54
+    for src, dst in steps:
+        got = ff._least_root_of_subfield_poly(src.defining, dst)
+        assert got == split_least_root(src.defining, dst), (src, dst)
+
+
+def test_subfield_roots_split_nothing_over_the_destination(monkeypatch):
+    # the embedding splits only over the (interned) source field: the
+    # minimal polynomial of a subfield generator, never src's defining
+    # polynomial over dst
+    seen = []
+    splitter = poly._splitter
+
+    def recording(u, rng, d):
+        seen.append(u.ctx)
+        return splitter(u, rng, d)
+
+    monkeypatch.setattr(poly, "_splitter", recording)
+    for p, a, b in ((2, 6, 24), (3, 5, 15)):
+        src, dst = ff.field_create(p, a), ff.field_create(p, b)
+        image = ff.embed.__wrapped__(src, dst).image_of_generator
+        assert image == ff.embed(src, dst).image_of_generator
+        assert seen and dst not in seen
+        assert all(ctx.elements is not None for ctx in seen)
+        seen.clear()
 
 
 def test_identity_embedding():

@@ -308,6 +308,21 @@ def test_enumerate_pgl2():
             assert M.compose(N) in g3
 
 
+def test_lazy_pgl2_matches_list():
+    # pair_scan walks the lazy generator; the public list is built from
+    # it, in the same order
+    for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        ctx = ff.field_create(p, n)
+        assert list(mb._pgl2(ctx)) == mb.enumerate_pgl2(ctx)
+    # the bound still holds on both paths: |PGL_2(F_257)| > 2^24
+    F257 = ff.field_create(257)
+    cube = rx.expr(F257, (0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        mb.enumerate_pgl2(F257)
+    with pytest.raises(ValueError):
+        next(mb.pair_scan(cube, cube))
+
+
 def test_cross_ratio_frozen():
     F7 = ff.field_create(7)
     s = F7.scalar
