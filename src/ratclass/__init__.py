@@ -16,9 +16,9 @@ from .classify import (CASES, ClassLabel, Witness, are_equivalent,
                        four_point_invariants, label_json,
                        lambda_mu_of_c, lambda_mu_relation)
 from .ffield import (DESK_SCALE_BOUND, Embedding, Fel, FieldCtx,
-                     canonical_sigma, canonical_tau, canonical_theta,
-                     degree_over, embed, extend, field_create,
-                     frobenius, is_square, sqrt)
+                     ScaleLimitError, canonical_sigma, canonical_tau,
+                     canonical_theta, degree_over, embed, extend,
+                     field_create, frobenius, is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio,
                       enumerate_pgl2, map_triple, pair_identity,
                       s_group_maps, s_orbit, s_orbit_min,
@@ -41,7 +41,7 @@ __all__ = [
     "canonical_two_point", "classify", "classify_cubic",
     "classify_quadratic", "family_Rc", "four_point_invariants",
     "label_json", "lambda_mu_of_c", "lambda_mu_relation",
-    "DESK_SCALE_BOUND", "Embedding", "Fel", "FieldCtx",
+    "DESK_SCALE_BOUND", "Embedding", "Fel", "FieldCtx", "ScaleLimitError",
     "canonical_sigma", "canonical_tau", "canonical_theta", "degree_over",
     "embed", "extend", "field_create", "frobenius", "is_square", "sqrt",
     "Moebius", "PairAction", "act", "cross_ratio", "enumerate_pgl2",

@@ -327,15 +327,15 @@ def lambda_mu_relation(lam, mu):
     """Whether mu^2 - 2 lam mu (2 lam^2 - 3 lam + 2) + lam^4 vanishes.
 
     The pair of cross-ratios of a four-point cubic always satisfies
-    this.  Requires characteristic at least 5 and nondegenerate lam; an
+    this.  Requires odd characteristic and nondegenerate lam; an
     infinite mu never satisfies the relation (the mu^2 coefficient is a
     unit).
     """
     if lam is INF:
         raise ValueError("degenerate lambda")
     ctx = lam.ctx
-    if ctx.p < 5:
-        raise ValueError("defined away from characteristics 2 and 3")
+    if ctx.p == 2:
+        raise ValueError("defined away from characteristic 2")
     if lam.key in (0, 1):
         raise ValueError("degenerate lambda")
     if mu is INF:
@@ -695,7 +695,7 @@ def _four_point_label(R, prof):
         if counts[d] % d:
             raise AssertionError("Galois orbit of size %d broken" % d)
         pattern.extend([d] * (counts[d] // d))
-    if ctx.p >= 5 and not lambda_mu_relation(lam_c, mu_c):
+    if not lambda_mu_relation(lam_c, mu_c):
         raise AssertionError("cross-ratio pair violates the branch relation")
     return ClassLabel("FourPoint", {
         "lambda": lam_c, "mu": mu_c, "mu_alt": mu_alt,

@@ -18,14 +18,17 @@ agree on all canonical data built downstream:
   (least root of the canonical quadratic over sigma) are all "least" in
   the same element order.
 
-Fields with at most 2^13 elements intern every element, multiply
-through discrete-log tables and, when they are proper extensions, add
-through Zech logarithms; larger fields use direct polynomial
-arithmetic.  The constructor refuses q above 2^24, which keeps every
-supported computation comfortably inside one desk session.  Building a
-field (the Rabin scan for its defining polynomial, its least primitive
-element and the walk that fills its tables) runs on a packed-integer
-kernel, `_Packed`; element arithmetic never uses it.
+An element is its field and its code, nothing more.  Fields with at
+most 2^13 elements intern every element and multiply through
+discrete-log tables; their odd-characteristic proper extensions add
+through Zech logarithms.  In characteristic 2 codes are bit vectors, so
+every extension adds by XOR.  Beyond the tables each operation packs its
+operands into the kernel `_Packed`, computes there and reads the code
+back; the same kernel builds every field (the Rabin scan for its
+defining polynomial, its least primitive element and the walk that
+fills its tables).  The constructor refuses q above 2^24, which keeps
+every supported computation comfortably inside one desk session, and
+raises ScaleLimitError for it, as every other check of that bound does.
 """
 
 from __future__ import annotations
@@ -37,6 +40,20 @@ DESK_SCALE_BOUND = 1 << 24
 INTERN_BOUND = 1 << 13
 
 _uids = itertools.count()
+
+
+class ScaleLimitError(ValueError):
+    """A computation refused because its size exceeds DESK_SCALE_BOUND."""
+
+
+def check_desk_scale(size, what):
+    """size, unless it exceeds DESK_SCALE_BOUND: then ScaleLimitError
+    naming the bound, with what naming the objects counted (as in
+    "expressions of degree 3 over F_11")."""
+    if size > DESK_SCALE_BOUND:
+        raise ScaleLimitError("%d %s exceed the limit %d, the desk-scale "
+                              "bound" % (size, what, DESK_SCALE_BOUND))
+    return size
 
 
 def _is_prime(m):
@@ -67,13 +84,14 @@ def _prime_factors(m):
     return out
 
 
-# Packed-integer arithmetic in F_p[t]/(f), used only while building a
-# field: the Rabin test of each candidate defining polynomial, the least
-# primitive element and the exp/log walk.  A polynomial packs coefficient
-# i into bits [i w, (i + 1) w) of one integer, so an integer product
-# multiplies polynomials.  The slots are wide enough that a product and
-# its Barrett reduction mod f (two more products) never carry, so each
-# slot is reduced mod p once, at the end.
+# Packed-integer arithmetic in F_p[t]/(f): the Rabin test of each
+# candidate defining polynomial, the least primitive element, the exp/log
+# walk, and element arithmetic in fields beyond the tables.  A polynomial
+# packs coefficient i into bits [i w, (i + 1) w) of one integer, so an
+# integer product multiplies polynomials.  The slots are wide enough that
+# a product and its Barrett reduction mod f (two more products) never
+# carry, nor does x + (p - 1) y, a difference, so each slot is reduced
+# mod p once, at the end.
 
 class _Packed:
     """F_p[t]/(f) for a monic f of degree n on packed integers."""
@@ -114,11 +132,14 @@ class _Packed:
         """The low n slots of v, each reduced mod p."""
         return v & self.ones if self.p == 2 else self.pack(self.code(v))
 
-    def mul(self, x, y):
+    def product(self, x, y):
+        """x y mod f with its low n slots not yet reduced mod p."""
         v = x * y
         nw = self.n * self.w
-        quo = ((v >> nw) * self.mu) >> nw
-        return self.reduce(v + quo * self.negf)
+        return v + (((v >> nw) * self.mu) >> nw) * self.negf
+
+    def mul(self, x, y):
+        return self.reduce(self.product(x, y))
 
     def pow(self, x, e):
         out = 1
@@ -201,28 +222,26 @@ def _defining_poly(p, n):
 
 
 class Fel:
-    """One field element: an immutable coefficient vector over F_p.
+    """One field element: its field and its integer code.
 
-    Elements compare, sort and hash by their integer code
-    sum(rep[i] * p^i).  Arithmetic coerces Python ints on either side
-    (they reduce mod p); elements of two different fields never mix,
-    embeddings are always explicit.  Elements of interned fields keep
-    no coefficient vector (their arithmetic runs on tables); rep decodes
-    it from the code on demand.
+    The code sum(rep[i] * p^i) of the coefficient vector rep over F_p in
+    the power basis is the element's whole state: elements compare, sort
+    and hash by it, and rep decodes it on demand.  Arithmetic coerces
+    Python ints on either side (they reduce mod p); elements of two
+    different fields never mix, embeddings are always explicit.
     """
 
-    __slots__ = ("ctx", "_rep", "key")
+    __slots__ = ("ctx", "key")
 
-    def __init__(self, ctx, rep, key):
+    def __init__(self, ctx, key):
         self.ctx = ctx
-        self._rep = rep
         self.key = key
 
     @property
     def rep(self):
         """Coefficient vector over F_p in the power basis."""
-        rep = self._rep
-        return rep if rep is not None else self.ctx._decode(self.key)
+        p, k = self.ctx.p, self.key
+        return tuple(k // p ** i % p for i in range(self.ctx.n))
 
     # -- construction helpers live on FieldCtx; dunders only here --
 
@@ -243,10 +262,12 @@ class Fel:
         ctx = self.ctx
         if ctx.n == 1:
             return ctx._by_key((self.key + other.key) % ctx.p)
+        if ctx.p == 2:
+            return ctx._by_key(self.key ^ other.key)
         if ctx._zech is not None:
             return ctx._zech_add(self.key, other.key)
-        rep = tuple((a + b) % ctx.p for a, b in zip(self._rep, other._rep))
-        return ctx._from_rep(rep)
+        k = ctx._kernel
+        return Fel(ctx, k.code(k.pack(self.key) + k.pack(other.key)))
 
     __radd__ = __add__
 
@@ -257,10 +278,13 @@ class Fel:
         ctx = self.ctx
         if ctx.n == 1:
             return ctx._by_key((self.key - other.key) % ctx.p)
+        if ctx.p == 2:
+            return ctx._by_key(self.key ^ other.key)
         if ctx._zech is not None:
             return ctx._zech_add(self.key, ctx._neg_key(other.key))
-        rep = tuple((a - b) % ctx.p for a, b in zip(self._rep, other._rep))
-        return ctx._from_rep(rep)
+        k = ctx._kernel
+        return Fel(ctx, k.code(k.pack(self.key)
+                               + (ctx.p - 1) * k.pack(other.key)))
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -272,9 +296,12 @@ class Fel:
         ctx = self.ctx
         if ctx.n == 1:
             return ctx._by_key(-self.key % ctx.p)
+        if ctx.p == 2:
+            return self
         if ctx._zech is not None:
             return ctx.elements[ctx._neg_key(self.key)]
-        return ctx._from_rep(tuple(-a % ctx.p for a in self._rep))
+        k = ctx._kernel
+        return Fel(ctx, k.code((ctx.p - 1) * k.pack(self.key)))
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -287,8 +314,9 @@ class Fel:
             if ka == 0 or kb == 0:
                 return ctx.zero
             return ctx._exp[(log[ka] + log[kb]) % (ctx.q - 1)]
-        return ctx._from_rep(_mul_rep(self._rep, other._rep, ctx.p,
-                                      ctx.defining))
+        k = ctx._kernel
+        return Fel(ctx, k.code(k.product(k.pack(self.key),
+                                         k.pack(other.key))))
 
     __rmul__ = __mul__
 
@@ -299,8 +327,8 @@ class Fel:
         log = ctx._log
         if log is not None:
             return ctx._exp[(ctx.q - 1 - log[self.key]) % (ctx.q - 1)]
-        return ctx._from_rep(_pow_rep(self._rep, ctx.q - 2, ctx.p,
-                                      ctx.defining))
+        k = ctx._kernel
+        return Fel(ctx, k.code(k.pow(k.pack(self.key), ctx.q - 2)))
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -328,7 +356,8 @@ class Fel:
         log = ctx._log
         if log is not None:
             return ctx._exp[(log[self.key] * e) % (ctx.q - 1)]
-        return ctx._from_rep(_pow_rep(self._rep, e, ctx.p, ctx.defining))
+        k = ctx._kernel
+        return Fel(ctx, k.code(k.pow(k.pack(self.key), e)))
 
     def __eq__(self, other):
         if type(other) is Fel:
@@ -362,9 +391,10 @@ class Fel:
         ctx = self.ctx
         if ctx.n == 1:
             return str(self.key)
+        rep = self.rep
         parts = []
         for i in range(ctx.n - 1, -1, -1):
-            c = self.rep[i]
+            c = rep[i]
             if not c:
                 continue
             if i == 0:
@@ -376,37 +406,6 @@ class Fel:
 
     def __repr__(self):
         return "%s:%s" % (self.ctx.name, self)
-
-
-def _mul_rep(x, y, p, f):
-    n = len(f) - 1
-    out = [0] * (2 * n - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    for i in range(2 * n - 2, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            base = i - n
-            for j in range(n):
-                if f[j]:
-                    out[base + j] = (out[base + j] - c * f[j]) % p
-    return tuple(out[:n])
-
-
-def _pow_rep(rep, e, p, f):
-    n = len(f) - 1
-    result = (1,) + (0,) * (n - 1)
-    cur = rep
-    while e:
-        if e & 1:
-            result = _mul_rep(result, cur, p, f)
-        cur = _mul_rep(cur, cur, p, f)
-        e >>= 1
-    return result
 
 
 class FieldCtx:
@@ -429,27 +428,21 @@ class FieldCtx:
         self._log = None
         self._zech = None
         self._primitive = None
+        self._kernel = _Packed(p, self.defining)
         if self.q <= INTERN_BOUND:
             self._intern()
         else:
-            self.zero = Fel(self, (0,) * n, 0)
-            self.one = Fel(self, (1,) + (0,) * (n - 1), 1)
+            self.zero = Fel(self, 0)
+            self.one = Fel(self, 1)
         self.gen = self.from_key(p) if n > 1 else None
 
-    def _decode(self, k):
-        digits = []
-        for _ in range(self.n):
-            digits.append(k % self.p)
-            k //= self.p
-        return tuple(digits)
-
     def _intern(self):
-        els = [Fel(self, None, k) for k in range(self.q)]
+        els = [Fel(self, k) for k in range(self.q)]
         self.elements = els
         self.zero = els[0]
         self.one = els[1]
         q = self.q
-        kernel = _Packed(self.p, self.defining)
+        kernel = self._kernel
         prim = kernel.primitive()
         exp = [None] * (q - 1)
         log = [0] * q
@@ -461,24 +454,21 @@ class FieldCtx:
         self._exp = exp
         self._log = log
         self._primitive = els[prim]
-        if self.n > 1:
-            self._intern_sums()
-
-    def _intern_sums(self):
-        # Zech logarithms: g^zech[k] = 1 + g^k (-1 when 1 + g^k = 0),
-        # so a + b = a (1 + b/a) costs table lookups, not vector sums
-        p = self.p
-        zech = [-1] * (self.q - 1)
-        for k, a in enumerate(self._exp):
-            key = a.key
-            plus_one = key + 1 if key % p != p - 1 else key + 1 - p
-            if plus_one:
-                zech[k] = self._log[plus_one]
-        self._zech = zech
+        if self.n > 1 and self.p != 2:
+            # Zech logarithms: g^zech[k] = 1 + g^k (-1 when 1 + g^k = 0),
+            # so a + b = a (1 + b/a) costs table lookups, not vector sums
+            p = self.p
+            zech = [-1] * (q - 1)
+            for k, a in enumerate(exp):
+                key = a.key
+                plus_one = key + 1 if key % p != p - 1 else key + 1 - p
+                if plus_one:
+                    zech[k] = log[plus_one]
+            self._zech = zech
 
     def _neg_key(self, k):
-        # -1 = g^((q-1)/2) for odd q, and -a = a in characteristic 2
-        if not k or self.p == 2:
+        # -1 = g^((q-1)/2), q odd
+        if not k:
             return k
         m = self.q - 1
         return self._exp[(self._log[k] + m // 2) % m].key
@@ -500,24 +490,14 @@ class FieldCtx:
     def primitive(self):
         """Least generator of the multiplicative group."""
         if self._primitive is None:
-            self._primitive = self.from_key(
-                _Packed(self.p, self.defining).primitive())
+            self._primitive = self.from_key(self._kernel.primitive())
         return self._primitive
 
     def _by_key(self, k):
         els = self.elements
         if els is not None:
             return els[k]
-        return Fel(self, self._decode(k), k)
-
-    def _from_rep(self, rep):
-        key = 0
-        for c in reversed(rep):
-            key = key * self.p + c
-        els = self.elements
-        if els is not None:
-            return els[key]
-        return Fel(self, rep, key)
+        return Fel(self, k)
 
     def scalar(self, m):
         """The constant m, reduced mod p."""
@@ -531,11 +511,12 @@ class FieldCtx:
 
     def make(self, coeffs):
         """The element with the given coefficient vector over F_p."""
-        cs = [c % self.p for c in coeffs]
-        if len(cs) > self.n:
+        if len(coeffs) > self.n:
             raise ValueError("too many coefficients for " + self.name)
-        cs += [0] * (self.n - len(cs))
-        return self._from_rep(tuple(cs))
+        key = 0
+        for c in reversed(coeffs):
+            key = key * self.p + c % self.p
+        return self._by_key(key)
 
     def __iter__(self):
         if self.elements is not None:
@@ -560,8 +541,7 @@ def _field_create(p, n):
         raise ValueError("%r is not prime" % (p,))
     if not isinstance(n, int) or n < 1:
         raise ValueError("extension degree must be a positive integer")
-    if p ** n > DESK_SCALE_BOUND:
-        raise ValueError("p^n = %d exceeds the desk-scale bound 2^24" % p ** n)
+    check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
     return FieldCtx(p, n)
 
 

@@ -11,7 +11,7 @@ values by lam -> 1/lam and lam -> 1 - lam.
 
 from __future__ import annotations
 
-from .ffield import DESK_SCALE_BOUND, Fel
+from .ffield import Fel, check_desk_scale
 from .poly import Poly, _mk, _trim
 from .ratexpr import INF, RatExpr, _normalized, proj_key
 
@@ -122,13 +122,8 @@ def three_point_map(a, b, c):
     argument, which is the natural projective degeneration.
     """
     pts = (a, b, c)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            same = (pts[i] is INF and pts[j] is INF) or (
-                pts[i] is not INF and pts[j] is not INF
-                and pts[i] == pts[j])
-            if same:
-                raise ValueError("three_point_map needs distinct points")
+    if len({proj_key(P) for P in pts}) < 3:
+        raise ValueError("three_point_map needs distinct points")
     ctx = next(P.ctx for P in pts if P is not INF)
     if a is INF:
         return Moebius(ctx, c - b, b, 0, 1)
@@ -328,9 +323,7 @@ def _pgl2(ctx):
     (1, b) block runs first, ordered by the codes of (b, c, d), then the
     (0, 1) block ordered by (c, d).
     """
-    q = ctx.q
-    if q ** 3 - q > DESK_SCALE_BOUND:
-        raise ValueError("PGL_2(%s) exceeds the enumeration bound" % ctx.name)
+    check_desk_scale(ctx.q ** 3 - ctx.q, "elements of PGL_2(%s)" % ctx.name)
     els = list(ctx)
     for b in els:
         for c in els:
@@ -368,13 +361,8 @@ def cross_ratio(x1, x2, x3, x4):
     must be pairwise distinct, so the value never lands in {0, 1, inf}.
     """
     pts = (x1, x2, x3, x4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            same = (pts[i] is INF and pts[j] is INF) or (
-                pts[i] is not INF and pts[j] is not INF
-                and pts[i] == pts[j])
-            if same:
-                raise ValueError("cross-ratio needs distinct points")
+    if len({proj_key(P) for P in pts}) < 4:
+        raise ValueError("cross-ratio needs distinct points")
     ctx = next(P.ctx for P in pts if P is not INF)
     num = ctx.one
     den = ctx.one

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .classify import CASES, canonical_rep, classify, label_json
-from .ffield import DESK_SCALE_BOUND
+from .ffield import check_desk_scale
 from .moebius import enumerate_pgl2, pair_scan, post, precompose
 from .poly import Poly, gcd_monic
 from .ratexpr import count_expressions, enumerate_expressions
@@ -35,10 +35,8 @@ def coprime_pair_count(ctx, r, s):
     """
     if r < 1 or s < 1:
         raise ValueError("both degrees must be at least 1")
-    if ctx.q ** (r + s) > DESK_SCALE_BOUND:
-        raise ValueError(
-            "%d monic pairs of degrees (%d, %d) over %s exceed the limit %d"
-            % (ctx.q ** (r + s), r, s, ctx.name, DESK_SCALE_BOUND))
+    check_desk_scale(ctx.q ** (r + s), "monic pairs of degrees (%d, %d) "
+                     "over %s" % (r, s, ctx.name))
     seconds = list(_monic_of_degree(ctx, s))
     n = 0
     for f in _monic_of_degree(ctx, r):
@@ -49,12 +47,9 @@ def coprime_pair_count(ctx, r, s):
 
 
 def _check_scale(ctx, degree):
-    total = count_expressions(ctx, degree)
-    if total > DESK_SCALE_BOUND:
-        raise ValueError(
-            "%d expressions of degree %d over %s exceed the limit %d"
-            % (total, degree, ctx.name, DESK_SCALE_BOUND))
-    return total
+    return check_desk_scale(count_expressions(ctx, degree),
+                            "expressions of degree %d over %s"
+                            % (degree, ctx.name))
 
 
 def orbit_of(R):

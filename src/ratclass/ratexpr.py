@@ -11,7 +11,7 @@ composition with Moebius maps is moebius.act, post and precompose.
 
 from __future__ import annotations
 
-from .ffield import DESK_SCALE_BOUND
+from .ffield import check_desk_scale
 from .poly import Poly, _mk, _trim, divmod_poly, gcd_monic, map_coeffs
 
 
@@ -192,9 +192,8 @@ def enumerate_expressions(ctx, r):
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
-    if count_expressions(ctx, r) > DESK_SCALE_BOUND:
-        raise ValueError("enumeration of %d expressions exceeds the "
-                         "desk-scale bound" % count_expressions(ctx, r))
+    check_desk_scale(count_expressions(ctx, r),
+                     "expressions of degree %d over %s" % (r, ctx.name))
     return _enumerate_expressions(ctx, r)
 
 

@@ -195,7 +195,7 @@ def test_lambda_mu_frozen_and_identities():
     with pytest.raises(ValueError):
         cl.lambda_mu_relation(rx.INF, F7.one)
     with pytest.raises(ValueError):
-        cl.lambda_mu_relation(F9.from_key(3), F9.one)
+        cl.lambda_mu_relation(F4.from_key(2), F4.one)
 
 
 def test_lambda_sixth_root_forces_inverse_mu():
@@ -389,20 +389,28 @@ def test_four_point_invariants_frozen_family():
 
 
 def test_four_point_relation_empirical_char3():
-    # the branch relation also holds for every four-point class over F_3
-    seen = set()
-    for R in rx.enumerate_expressions(F3, 3):
-        label = cl.classify_cubic(R)[0]
-        if label.case != "FourPoint" or label in seen:
-            continue
-        seen.add(label)
+    # the branch relation also holds in characteristic 3: on every
+    # four-point cubic over F_3 and on seeded ones over F_9 and F_27,
+    # both written out and through lambda_mu_relation
+    def holds(label):
         lam, mu = label.param("lambda"), label.param("mu")
         ctxm = lam.ctx
         two, three = ctxm.scalar(2), ctxm.scalar(3)
         val = mu * mu - two * lam * mu * (two * lam * lam - three * lam + two) \
             + lam ** 4
-        assert val.key == 0
-    assert len(seen) == 3
+        return val.key == 0 and cl.lambda_mu_relation(lam, mu)
+
+    labels = [cl.classify_cubic(R)[0] for R in rx.enumerate_expressions(F3, 3)]
+    four = [label for label in labels if label.case == "FourPoint"]
+    assert len(four) == 1152 and len(set(four)) == 3
+    assert all(holds(label) for label in four)
+    rng = random.Random(3)
+    for ctx in (F9, ff.field_create(3, 3)):
+        labels = [cl.classify_cubic(R)[0]
+                  for R in random_exprs(ctx, 3, 120, rng)]
+        four = [label for label in labels if label.case == "FourPoint"]
+        assert len(four) >= 40
+        assert all(holds(label) for label in four)
 
 
 def test_family_orbit_equivalences_f7_f13():

@@ -213,6 +213,44 @@ def digits(k, p, n):
     return tuple(k // p ** i % p for i in range(n))
 
 
+def code_of(rep, p):
+    return sum(c * p ** i for i, c in enumerate(rep))
+
+
+# Schoolbook product and power on coefficient tuples: the oracles for
+# the packed kernel and for element arithmetic beyond the tables.
+
+def mul_rep(x, y, p, f):
+    n = len(f) - 1
+    out = [0] * (2 * n - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i + j] = (out[i + j] + a * b) % p
+    for i in range(2 * n - 2, n - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            base = i - n
+            for j in range(n):
+                if f[j]:
+                    out[base + j] = (out[base + j] - c * f[j]) % p
+    return tuple(out[:n])
+
+
+def pow_rep(rep, e, p, f):
+    n = len(f) - 1
+    result = (1,) + (0,) * (n - 1)
+    cur = rep
+    while e:
+        if e & 1:
+            result = mul_rep(result, cur, p, f)
+        cur = mul_rep(cur, cur, p, f)
+        e >>= 1
+    return result
+
+
 def test_packed_products_match_mul_rep():
     # the kernel's slots must hold every sum it forms: products of the
     # largest code, which has every digit p - 1, and seeded pairs
@@ -224,39 +262,40 @@ def test_packed_products_match_mul_rep():
         pairs = [(q - 1, q - 1), (q - 1, 1)]
         pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(20)]
         for a, b in pairs:
-            expect = ff._mul_rep(digits(a, p, n), digits(b, p, n), p, f)
+            expect = mul_rep(digits(a, p, n), digits(b, p, n), p, f)
             got = kernel.code(kernel.mul(kernel.pack(a), kernel.pack(b)))
             assert digits(got, p, n) == expect, (p, n, a, b)
 
 
 def least_primitive(ctx):
     """Code of the least generator of ctx's multiplicative group, by
-    Fermat powers through ff._pow_rep."""
+    Fermat powers through pow_rep."""
     p, n, q = ctx.p, ctx.n, ctx.q
     one = digits(1, p, n)
     fac = ff._prime_factors(q - 1)
     return next(k for k in range(1, q)
-                if all(ff._pow_rep(digits(k, p, n), (q - 1) // ell, p,
-                                   ctx.defining) != one for ell in fac))
+                if all(pow_rep(digits(k, p, n), (q - 1) // ell, p,
+                                  ctx.defining) != one for ell in fac))
 
 
 def walk_tables(ctx):
     """Primitive, exp, log and Zech tables of an interned field by the
-    coefficient-vector walk: the least primitive, then one ff._mul_rep
-    per element."""
+    coefficient-vector walk: the least primitive, then one mul_rep per
+    element.  Characteristic 2 adds by XOR of codes, so it has no Zech
+    table."""
     p, n, q, f = ctx.p, ctx.n, ctx.q, ctx.defining
     prim = least_primitive(ctx)
     one = digits(1, p, n)
     exp, rep = [], one
     for _ in range(q - 1):
-        exp.append(sum(c * p ** i for i, c in enumerate(rep)))
-        rep = ff._mul_rep(rep, digits(prim, p, n), p, f)
+        exp.append(code_of(rep, p))
+        rep = mul_rep(rep, digits(prim, p, n), p, f)
     assert rep == one
     log = [0] * q
     for i, k in enumerate(exp):
         log[k] = i
     zech = None
-    if n > 1:
+    if n > 1 and p != 2:
         zech = [-1] * (q - 1)
         for i, k in enumerate(exp):
             plus_one = k - k % p + (k + 1) % p
@@ -337,6 +376,48 @@ def test_interned_sums_match_coefficient_vectors():
             assert (a - b).rep == tuple((x - y) % p
                                         for x, y in zip(a.rep, b.rep))
             assert (-a).rep == tuple(-x % p for x in a.rep)
+
+
+def test_direct_arithmetic_matches_coefficient_vectors():
+    # beyond the tables every operation packs its operands into the
+    # kernel and reads the code back; the oracle is the schoolbook
+    # product and power on coefficient vectors and coefficient-wise sums
+    assert ff.Fel.__slots__ == ("ctx", "key")
+    rng = random.Random(13)
+    for p, n in ((3, 15), (3, 12), (31, 4), (101, 3), (13, 4), (2, 14),
+                 (2, 18), (2, 24), (8209, 1)):
+        ctx = ff.field_create(p, n)
+        assert ctx.elements is None
+        q, f = ctx.q, ctx.defining
+        keys = [0, 1, q - 1] + [rng.randrange(q) for _ in range(12)]
+        for ka in keys:
+            a = ctx.from_key(ka)
+            ra = digits(ka, p, n)
+            assert (-a).key == code_of([-x % p for x in ra], p)
+            if ka:
+                inv = code_of(pow_rep(ra, q - 2, p, f), p)
+                assert a.inverse().key == inv and (1 / a).key == inv
+            for e in (0, 1, 2, 5, q - 2, q - 1, q, q + 3, 3 * q - 1,
+                      rng.randrange(q)):
+                assert (a ** e).key == code_of(pow_rep(ra, e, p, f), p)
+                if ka:
+                    assert (a ** -e).key == code_of(
+                        pow_rep(ra, (q - 2) * e, p, f), p)
+            for kb in keys:
+                b = ctx.from_key(kb)
+                rb = digits(kb, p, n)
+                assert (a + b).key == code_of(
+                    [(x + y) % p for x, y in zip(ra, rb)], p)
+                assert (a - b).key == code_of(
+                    [(x - y) % p for x, y in zip(ra, rb)], p)
+                assert (a * b).key == code_of(mul_rep(ra, rb, p, f), p)
+                if kb:
+                    assert (a / b).key == code_of(
+                        mul_rep(ra, pow_rep(rb, q - 2, p, f), p, f), p)
+    with pytest.raises(ZeroDivisionError):
+        ff.field_create(3, 15).zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        ff.field_create(2, 24).zero ** -1
 
 
 def test_int_coercion_and_division():

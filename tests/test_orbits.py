@@ -117,6 +117,29 @@ def test_orbit_scale_guard():
         ob.all_classes(F16, 3)
 
 
+def test_desk_scale_refusals_share_one_error():
+    # each of the five checks of the bound raises the one typed error,
+    # whose message names the bound
+    F257 = ff.field_create(257)
+    refusals = {
+        "field": lambda: ff.field_create(2, 25),
+        "pgl2": lambda: next(mb.pair_scan(rx.expr(F257, (0, 0, 0, 1)),
+                                          rx.expr(F257, (0, 0, 0, 1)))),
+        "pairs": lambda: ob.coprime_pair_count(F16, 3, 4),
+        "orbits": lambda: ob.orbit_of(rx.expr(F16, (0, 0, 0, 1))),
+        "enumerate": lambda: rx.enumerate_expressions(
+            ff.field_create(11), 3),
+    }
+    for name, refuse in refusals.items():
+        with pytest.raises(ff.ScaleLimitError) as info:
+            refuse()
+        msg = str(info.value)
+        assert "desk-scale bound" in msg, name
+        assert "exceed the limit %d" % ff.DESK_SCALE_BOUND in msg, name
+    assert issubclass(ff.ScaleLimitError, ValueError)
+    assert ff.DESK_SCALE_BOUND == 1 << 24
+
+
 def test_stabilizer_orders_frozen():
     assert ob.stabilizer_order(rx.expr(F2, (0, 0, 0, 1))) == 2
     assert ob.stabilizer_order(rx.expr(F2, (1, 1, 0, 1), (0, 1, 1))) == 6
