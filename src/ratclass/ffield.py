@@ -784,11 +784,18 @@ def _least_root_of_subfield_poly(coeffs, dst):
     rho of mu is split off in src, interned as src.q^2 <= dst.q.  rho ->
     beta extends to an isomorphism, so src's generator rho^k gives the
     root r = beta^k of f, and f's roots are r's conjugates r^(p^i).
+    beta is g^((Q-1)/(p^m-1)) for the least g for which that has order
+    p^m - 1; the least conjugate does not depend on the choice.
     """
     from . import poly as _poly
     p, m = dst.p, len(coeffs) - 1
     src, base = field_create(p, m), field_create(p)
-    beta = dst.primitive ** ((dst.q - 1) // (src.q - 1))
+    order = src.q - 1
+    fac = _prime_factors(order)
+    for g in range(2, dst.q):
+        beta = dst.from_key(g) ** ((dst.q - 1) // order)
+        if all((beta ** (order // ell)).key != 1 for ell in fac):
+            break
     pows = [dst.one]
     for _ in range(m):
         pows.append(pows[-1] * beta)

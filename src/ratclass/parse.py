@@ -8,17 +8,24 @@ Grammar, insensitive to whitespace:
     power  := atom ("^" ["-"] integer)*
     atom   := integer | "t" | "x" | "(" expr ")"
 
-Coefficients are integer literals (reduced into the field) or, over an
-extension field, polynomials in the generator t.  Every subexpression
-is carried as an exact fraction of polynomials, so parsing never loses
-information; dividing by a subexpression that is identically zero is
-an error reported at the slash.  The printed form of any expression
-parses back to the identical normalized object.
+Integers are ASCII digits.  Coefficients are integer literals (reduced
+into the field) or, over an extension field, polynomials in the
+generator t.  A subexpression is an unreduced numerator and denominator,
+little-endian lists of field elements with None for the denominator 1,
+so parsing never loses information; a power of a monomial c x^k is
+c^e x^(ke) in closed form, and RatExpr reduces the fraction once, at
+the end.  Dividing by an identically zero subexpression is an error
+reported at the slash; a power of degree beyond the desk-scale bound is
+refused before it is built.  The printed form of any expression parses
+back to the identical normalized object.
 """
 
 from __future__ import annotations
 
-from .poly import Poly
+import re
+
+from .ffield import check_desk_scale
+from .poly import _mk
 from .ratexpr import RatExpr
 
 
@@ -40,185 +47,175 @@ class ParseError(ValueError):
             self.pos, self.msg, self.text, " " * self.pos)
 
 
-_OPS = "+-*/^()"
+# a token is an ASCII integer or one other character, white space aside
+_TOKEN = re.compile(r"[0-9]+|\S")
+_STRAY = re.compile(r"[^\s0-9xt+\-*/^()]")
 
 
-def _lex(text):
-    """Tokens as (kind, value, position); kinds INT, NAME, OP, END."""
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            if ch not in ("x", "t"):
-                raise ParseError("unknown symbol %r; only x and t name "
-                                 "anything here" % ch, text, i)
-            out.append(("NAME", ch, i))
-            i += 1
-            continue
-        if ch in _OPS:
-            out.append(("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError("stray character %r" % ch, text, i)
-    out.append(("END", None, n))
+def _add(a, b):
+    """Sum of coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for i, c in enumerate(b):
+        if c.key:
+            d = out[i]
+            out[i] = d + c if d.key else c
+    while out and not out[-1].key:
+        out.pop()
     return out
 
 
-class _Frac:
-    """An unreduced fraction of polynomials; den is never zero."""
+def _mul(a, b):
+    """Product of coefficient lists, None standing for 1."""
+    if a is None or b is None:
+        return b if a is None else a
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c.key:
+            for j, d in enumerate(b):
+                if d.key:
+                    o = out[i + j]
+                    out[i + j] = c * d if o is None else o + c * d
+    zero = a[0].ctx.zero
+    return [zero if o is None else o for o in out]
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-    def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
-
-    def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den,
-                     self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __neg__(self):
-        return _Frac(-self.num, self.den)
+def _pow(a, e, ctx):
+    """a^e for a coefficient list a."""
+    if e == 0:
+        return [ctx.one]
+    k = len(a) - 1
+    if not any(c.key for c in a[:k]):
+        # c x^k, and the empty list (zero) for k = -1
+        return [ctx.zero] * (k * e) + [c ** e for c in a[k:]]
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mul(out, out)
+        if bit == "1":
+            out = _mul(out, a)
+    return out
 
 
 class _Parser:
+    """Tokens are strings, "" at the end; errors find their position by
+    lexing again."""
+
     def __init__(self, text, ctx):
-        self.text = text
-        self.ctx = ctx
-        self.toks = _lex(text)
-        self.i = 0
+        bad = _STRAY.search(text)
+        if bad:
+            ch = bad.group()
+            if ch.isalpha():
+                raise ParseError("unknown symbol %r; only x and t name "
+                                 "anything here" % ch, text, bad.start())
+            raise ParseError("stray character %r" % ch, text, bad.start())
+        self.text, self.ctx = text, ctx
+        self.toks = _TOKEN.findall(text) + [""]
 
-    def peek(self):
-        return self.toks[self.i]
+    def fail(self, msg, i):
+        """ParseError at token i."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        raise ParseError(msg, self.text, (starts + [len(self.text)])[i])
 
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, msg, pos=None):
-        raise ParseError(msg, self.text,
-                         self.toks[self.i][2] if pos is None else pos)
-
-    def const(self, c):
-        return _Frac(Poly(self.ctx, (c,)), Poly(self.ctx, (1,)))
-
-    def atom(self):
-        kind, value, pos = self.take()
-        if kind == "INT":
-            return self.const(self.ctx.scalar(value))
-        if kind == "NAME":
-            if value == "x":
-                return _Frac(Poly(self.ctx, (0, 1)), Poly(self.ctx, (1,)))
-            if self.ctx.n == 1:
-                self.fail("t names the extension generator, and %s has "
-                          "none" % self.ctx.name, pos)
-            return self.const(self.ctx.from_key(self.ctx.p))
-        if kind == "OP" and value == "(":
-            inner = self.expr(0)
-            kind, value, pos = self.take()
-            if not (kind == "OP" and value == ")"):
-                self.fail("expected a closing parenthesis", pos)
-            return inner
-        self.fail("expected an operand: a number, x, t or a "
-                  "parenthesized expression", pos)
-
-    def signed(self):
-        kind, value, pos = self.peek()
-        if kind == "OP" and value in "+-":
-            self.take()
-            inner = self.signed()
-            return -inner if value == "-" else inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
+    def expr(self, i):
+        """The (numerator, denominator) of the sum starting at token i,
+        and the index of the token after it."""
+        toks, ctx = self.toks, self.ctx
+        total = term = None
         while True:
-            kind, value, pos = self.peek()
-            if not (kind == "OP" and value == "^"):
-                return base
-            self.take()
-            sign = 1
-            kind, value, _ = self.peek()
-            if kind == "OP" and value == "-":
-                self.take()
-                sign = -1
-            kind, value, epos = self.take()
-            if kind != "INT":
-                self.fail("expected an integer exponent", epos)
-            if sign < 0:
-                if base.num.is_zero:
-                    self.fail("negative power of an identically zero "
-                              "expression", pos)
-                base = _Frac(base.den ** value, base.num ** value)
+            # signed: prefix signs, an atom and its powers; a binary + or
+            # - is read as the sign of the term it starts
+            neg = False
+            tok = toks[i]
+            while tok == "+" or tok == "-":
+                neg ^= tok == "-"
+                i += 1
+                tok = toks[i]
+            i += 1
+            if tok == "x":
+                val = [ctx.zero, ctx.one], None
+            elif tok.isdigit():
+                c = ctx.scalar(int(tok))
+                val = [c] if c.key else [], None
+            elif tok == "t":
+                if ctx.n == 1:
+                    self.fail("t names the extension generator, and %s has "
+                              "none" % ctx.name, i - 1)
+                val = [ctx.gen], None
+            elif tok == "(":
+                val, i = self.expr(i)
+                if toks[i] != ")":
+                    self.fail("expected a closing parenthesis", i)
+                i += 1
             else:
-                base = _Frac(base.num ** value, base.den ** value)
-
-    def expr(self, min_bp):
-        left = self.signed()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "OP" and value in "+-":
-                if min_bp > 10:
-                    return left
-                self.take()
-                right = self.expr(11)
-                left = left + right if value == "+" else left - right
-                continue
-            if kind == "OP" and value in "*/":
-                if min_bp > 20:
-                    return left
-                self.take()
-                right = self.expr(21)
-                if value == "*":
-                    left = left * right
+                self.fail("expected an operand: a number, x, t or a "
+                          "parenthesized expression", i - 1)
+            while toks[i] == "^":
+                caret = i
+                i += 1
+                inverse = toks[i] == "-"
+                if inverse:
+                    i += 1
+                if not toks[i].isdigit():
+                    self.fail("expected an integer exponent", i)
+                e = int(toks[i])
+                i += 1
+                num, den = val
+                if inverse:
+                    if not num:
+                        self.fail("negative power of an identically zero "
+                                  "expression", caret)
+                    num, den = den or [ctx.one], num
+                check_desk_scale(e * (max(len(num), len(den or ())) - 1),
+                                 "degrees of x in a power")
+                val = _pow(num, e, ctx), den and _pow(den, e, ctx)
+            if neg:
+                val = [-c for c in val[0]], val[1]
+            # fold the operand into its term, and a finished term into the sum
+            if term is None:
+                term = val
+            elif op == "/":
+                if not val[0]:
+                    self.fail("division by an identically zero expression",
+                              slash)
+                term = _mul(term[0], val[1]), _mul(term[1], val[0])
+            else:
+                term = _mul(term[0], val[0]), _mul(term[1], val[1])
+            tok = toks[i]
+            if tok == "*" or tok == "/":
+                op, slash = tok, i
+                i += 1
+            elif tok == "x" or tok == "(" or tok == "t" or tok.isdigit():
+                op = "*"  # juxtaposition
+            else:
+                if total is None:
+                    total = term
                 else:
-                    if right.num.is_zero:
-                        self.fail("division by an identically zero "
-                                  "expression", pos)
-                    left = _Frac(left.num * right.den,
-                                 left.den * right.num)
-                continue
-            if kind in ("INT", "NAME") or (kind == "OP" and value == "("):
-                if min_bp > 20:
-                    return left
-                right = self.expr(21)
-                left = left * right
-                continue
-            return left
+                    num, den = term
+                    total = (_add(_mul(total[0], den), _mul(num, total[1])),
+                             _mul(total[1], den))
+                if tok != "+" and tok != "-":
+                    return total, i
+                term = None
 
 
 def parse_expression(text, ctx, require_map=False):
     """Parse text into a normalized expression over ctx.
 
     With require_map, constants (which no Moebius pair can move) are
-    rejected.  Raises ParseError with the exact offending position.
+    rejected.  Raises ParseError with the exact offending position, and
+    ffield.ScaleLimitError for a power of degree beyond the desk-scale
+    bound.
     """
     parser = _Parser(text, ctx)
-    value = parser.expr(0)
-    kind, _, pos = parser.peek()
-    if kind != "END":
-        parser.fail("expected an operator or end of input", pos)
-    R = RatExpr(value.num, value.den)
+    (num, den), i = parser.expr(0)
+    if parser.toks[i]:
+        parser.fail("expected an operator or end of input", i)
+    R = RatExpr(_mk(ctx, num), _mk(ctx, den or (ctx.one,)))
     if require_map and R.degree == 0:
         raise ParseError("constant expression where a map is required",
                          text, 0)

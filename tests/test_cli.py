@@ -238,3 +238,11 @@ def test_internal_error_is_one_line(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: alignment failed for x^2+1\n"
+
+
+def test_non_ascii_digits_get_the_caret(capsys):
+    for text, pos, ch in (("x²", 1, "²"), ("x^٣+1", 2, "٣")):
+        code, out, err = run(capsys, "classify", "--field", "5", text)
+        assert code == 1 and out == ""
+        assert err == ("parse error at position %d: stray character %r\n"
+                       "    %s\n    %s^\n" % (pos, ch, text, " " * pos))
