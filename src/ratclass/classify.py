@@ -6,7 +6,8 @@ the class of a given quadratic or cubic expression, produces the
 canonical representative of that class, and constructs an exact
 witnessing pair.  Classes with at most three ramification points have
 one canonical representative per characteristic; cubics with four
-ramification points are named by cross-ratio invariants instead, and
+ramification points are named by cross-ratio invariants instead, read
+off the resolvent cubic of the Wronskian without computing a point, and
 carry no witness.
 
 Witness construction mirrors the structure of each class: a source-side
@@ -39,9 +40,10 @@ from .ffield import (_artin_schreier_root, canonical_sigma, canonical_theta,
                      embed, extend, is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       map_triple, pair_identity, pair_scan, post, precompose,
-                      s_group_maps, solve_post, three_point_map)
-from .poly import Poly, _synthetic_div
-from .ramify import is_separable, ramification_profile
+                      solve_post, three_point_map)
+from .poly import (Poly, _distinct_degree_split, _synthetic_div,
+                   irreducible_factors, poly_x, root_of_irreducible)
+from .ramify import ramification_profile, wronskian
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
 
@@ -409,6 +411,10 @@ def _first_points(ctx, avoid, count):
     raise AssertionError("projective line exhausted")
 
 
+def _embed_point(P, em):
+    return INF if P is INF else em(P)
+
+
 def _distinguished(R, prof):
     """R's candidate triples of distinguished points, in the order they
     are tried.
@@ -657,49 +663,179 @@ def _char2_double_label(triples, em):
 # four-point invariants
 
 
-def _embed_point(P, em):
-    return INF if P is INF else em(P)
+# the degree of the field holding the resolvent's roots, by the Galois
+# pattern of the ramification points: the order of Frobenius acting on
+# the three pairings {12|34}, {13|24}, {14|23} through S_4 -> S_3
+_RESOLVENT_DEGREE = {(1, 1, 1, 1): 1, (2, 2): 1, (1, 1, 2): 2, (4,): 2,
+                     (1, 3): 3}
 
 
-def _four_point_label(R, prof):
-    ctx = R.ctx
-    degs = [pt.defining_degree for pt in prof.points]
-    m = math.lcm(*degs)
-    if m == 1:
-        pts = [pt.point for pt in prof.points]
-        brs = [pt.branch for pt in prof.points]
-        ctxm = ctx
+def _has_four_points(ctx, W, factors):
+    """Whether a separable cubic over ctx with Wronskian W, whose
+    irreducible factors are given, has four ramification points: odd
+    characteristic, and W squarefree of degree 4, or of degree 3 with
+    the fourth point at infinity.  (A simple root of W has index 2, and
+    a wild point of characteristic 3 is a root of order at least 3.)"""
+    return ctx.p != 2 and W.degree >= 3 and all(m == 1 for _, m in factors)
+
+
+def _mod_quadratic(coeffs, e1, e0):
+    """(u, v) with f = u x + v modulo x^2 + e1 x + e0, for f given by its
+    coefficients, by Horner's rule."""
+    u = v = e1.ctx.zero
+    for c in reversed(coeffs):
+        # (u x + v) x + c, where x^2 = -e1 x - e0
+        u, v = v - u * e1, c - u * e0
+    return u, v
+
+
+def _moved_factor(f, w):
+    """The monic polynomial whose roots are the 1/(r - w) for the roots
+    r of f, where f(w) != 0: the reversal of f(x + w)."""
+    shift = Poly(f.ctx, (w, f.ctx.one))
+    g = Poly(f.ctx, ())
+    for c in reversed(f.coeffs):
+        g = g * shift + c
+    return Poly(f.ctx, g.coeffs[::-1]).monic()
+
+
+def _pair_values(num, den, e1, e0):
+    """(alpha, b + b', b b') for the roots r, r' of x^2 + e1 x + e0 and
+    their finite values b, b' under num/den.
+
+    num/den is alpha x + beta modulo the quadratic, so b - b' =
+    alpha (r - r'); everything is read off the quadratic's
+    coefficients, in their field.
+    """
+    g1, g0 = _mod_quadratic(num, e1, e0)
+    h1, h0 = _mod_quadratic(den, e1, e0)
+    # h(r) h(r'), nonzero as neither root is a pole
+    inv = (h0 * h0 - h0 * h1 * e1 + h1 * h1 * e0).inverse()
+    alpha = (g1 * h0 - g0 * h1) * inv
+    beta = (g0 * (h0 - h1 * e1) + g1 * h1 * e0) * inv
+    return (alpha, 2 * beta - alpha * e1,
+            alpha * alpha * e0 - alpha * beta * e1 + beta * beta)
+
+
+def _ferrari(a, b, c, d, theta):
+    """The factors x^2 + u x + p of x^4 + a x^3 + b x^2 + c x + d whose
+    constant terms sum to theta, a root of the resolvent, as two (u, p)
+    pairs; both factors must lie over the field of theta.
+
+    p, p' are the roots of z^2 - theta z + d, and u + u' = a with
+    u p' + u' p = c; when p = p' the u are the roots of
+    z^2 - a z + (b - theta) instead.
+    """
+    half = (theta.ctx.p + 1) // 2
+    disc = theta * theta - 4 * d
+    if disc.key:
+        p1 = (theta + sqrt(disc)) * half
+        p2 = theta - p1
+        u1 = (c - a * p1) / (p2 - p1)
     else:
-        ctxm = extend(ctx, m)[0]
-        pts = []
-        brs = []
-        for pt in prof.points:
-            em = embed(extend(ctx, pt.defining_degree)[0], ctxm)
-            pts.append(_embed_point(pt.point, em))
-            brs.append(_embed_point(pt.branch, em))
-    lam = cross_ratio(*pts)
-    mu = cross_ratio(*brs)
-    best = None
-    for M in s_group_maps(ctxm):
-        lam2, mu2 = M(lam), M(mu)
-        key = (proj_key(lam2), proj_key(mu2))
-        if best is None or key < best[0]:
-            best = (key, lam2, mu2)
-    lam_c, mu_c = best[1], best[2]
-    mu_alt = lam_c ** 4 / mu_c
-    counts = {}
-    for d in degs:
-        counts[d] = counts.get(d, 0) + 1
-    pattern = []
-    for d in sorted(counts):
-        if counts[d] % d:
-            raise AssertionError("Galois orbit of size %d broken" % d)
-        pattern.extend([d] * (counts[d] // d))
-    if not lambda_mu_relation(lam_c, mu_c):
+        p1 = p2 = theta * half
+        u1 = (a + sqrt(a * a - 4 * (b - theta))) * half
+    return (u1, p1), (a - u1, p2)
+
+
+def _four_point_label(R, W, factors):
+    """The FourPoint label of a cubic R with four ramification points,
+    from its Wronskian W and W's irreducible factors (see
+    _has_four_points).
+
+    Fixed Moebius maps move infinity off the ramification points and
+    off their branch values, which changes no cross-ratio; only rational
+    points can sit at infinity or map there.  Then W = x^4 + a x^3 +
+    b x^2 + c x + d has roots r1..r4, and the pairing sums
+    theta_{12|34} = r1 r2 + r3 r4, theta_{13|24} and theta_{14|23} are
+    the roots of the resolvent y^3 - b y^2 + (ac - 4d) y -
+    (a^2 d - 4bd + c^2), all in F_{q^k}, k <= 3 (_RESOLVENT_DEGREE).
+    With q13 = (x - r1)(x - r3) and q24 = (x - r2)(x - r4) over F_{q^k},
+    the cross-ratio of r1, r2, r3, r4 is (theta_12 - theta_14) /
+    (theta_12 - theta_13), and with R = alpha x + beta modulo each
+    quadratic (_pair_values) the branch values b_i give
+    theta'_12 - theta'_14 = alpha_13 alpha_24 (theta_12 - theta_14),
+    theta'_12 + theta'_14 = (b1 + b3)(b2 + b4) and theta'_13 = b1 b3 +
+    b2 b4, hence their cross-ratio in the same point order.  When W
+    splits into quadratics over F_q they come from its factors; else
+    (patterns (4) and (1, 3)) from the resolvent root theta_13 in F_q,
+    resp. F_{q^3}, by Ferrari's method.  Nothing is split over the field
+    F_{q^m} of the points: the six pairs of the cross-ratio symmetry
+    group are embedded there and the least by element code is kept.
+    """
+    ctx = R.ctx
+    factors = [u for u, _ in factors]
+    at_inf = W.degree == 3
+    pattern = tuple(sorted([u.degree for u in factors] + [1] * at_inf))
+    # W splits into two quadratics over F_q for (1, 1, 1, 1), (1, 1, 2)
+    # and (2, 2)
+    split = pattern[-1] <= 2
+    rational = [INF] * at_inf + [-u.coeffs[0] for u in factors
+                                 if u.degree == 1]
+    branches = [R(P) for P in rational]
+    if at_inf:
+        # A(x) = w + 1/x sends 0 to infinity and 1/(r - w) to each root
+        # r of W
+        w = _first_points(ctx, rational, 1)[0]
+        R = precompose(R, Moebius(ctx, w, ctx.one, ctx.one, ctx.zero))
+        W = wronskian(R)
+        factors = [poly_x(ctx)] + [_moved_factor(u, w) for u in factors]
+    if INF in branches:
+        v = _first_points(ctx, branches, 1)[0]
+        R = post(Moebius(ctx, ctx.zero, ctx.one, ctx.one, -v), R)
+    d, c, b, a = W.monic().coeffs[:4]
+    k = _RESOLVENT_DEGREE[pattern]
+    ctxk, emk = extend(ctx, k)
+    num, den = R.num.coeffs, R.den.coeffs
+    if split:
+        cut = len(factors) - 1 if factors[-1].degree == 2 else 2
+        q13, q24 = (functools.reduce(Poly.__mul__, part)
+                    for part in (factors[:cut], factors[cut:]))
+        pairs = [(q.coeffs[1], q.coeffs[0]) for q in (q13, q24)]
+        theta = q13.coeffs[0] + q24.coeffs[0]
+    else:
+        resolvent = Poly(ctx, (-(a * a * d - 4 * b * d + c * c),
+                               a * c - 4 * d, -b, ctx.one))
+        if k == 2:
+            # pattern (4): theta_13 is the resolvent's one root in F_q
+            resolvent = _distinct_degree_split(resolvent)[0][1]
+        theta = root_of_irreducible(resolvent, emk)
+        a, b, c, d = (emk(v) for v in (a, b, c, d))
+        pairs = _ferrari(a, b, c, d, theta)
+        num, den = ([emk(v) for v in f] for f in (num, den))
+    # theta is theta_13; theta_12 and theta_14 have sum s and product t
+    (al13, sum13, prod13), (al24, sum24, prod24) = (
+        _pair_values(num, den, e1, e0) for e1, e0 in pairs)
+    s = b - theta
+    vals = (theta, s, a * c - 4 * d - theta * s, al13 * al24,
+            sum13 * sum24, prod13 + prod24)
+    if theta.ctx is not ctxk:
+        vals = [emk(v) for v in vals]
+    theta, s, t, al, sums, prods = vals
+    # naming theta_12 = (s + delta) / 2 fixes which root of q24 is r2
+    delta = sqrt(s * s - 4 * t)
+    lam = 2 * delta / (s + delta - 2 * theta)
+    diff = al * delta  # theta'_12 - theta'_14
+    mu = 2 * diff / (sums + diff - 2 * prods)
+    if not lambda_mu_relation(lam, mu):
         raise AssertionError("cross-ratio pair violates the branch relation")
+    # the cross-ratio symmetry group: x, 1/x, 1 - x, x/(x - 1),
+    # 1/(1 - x) and (x - 1)/x
+    orbit = []
+    for x in (lam, mu):
+        inv, inv1 = x.inverse(), (1 - x).inverse()
+        orbit.append((x, inv, 1 - x, -x * inv1, inv1, 1 - inv))
+    orbit = list(zip(*orbit))
+    ctxm = extend(ctx, math.lcm(*pattern))[0]
+    if ctxm is not ctxk:
+        em = embed(ctxk, ctxm)
+        orbit = [(em(x), em(y)) for x, y in orbit]
+    lam, mu = min(orbit, key=lambda xy: (xy[0].key, xy[1].key))
+    # mu_alt = lam^4 / mu, the other root of the branch relation, is
+    # 2 lam (2 lam^2 - 3 lam + 2) - mu by Vieta, with no inverse
+    mu_alt = 2 * lam * (2 * lam * lam - 3 * lam + 2) - mu
     return ClassLabel("FourPoint", {
-        "lambda": lam_c, "mu": mu_c, "mu_alt": mu_alt,
-        "pattern": tuple(pattern),
+        "lambda": lam, "mu": mu, "mu_alt": mu_alt, "pattern": pattern,
     })
 
 
@@ -707,22 +843,24 @@ def four_point_invariants(R):
     """The FourPoint label of a cubic with four ramification points.
 
     lambda is the cross-ratio of the four ramification points inside
-    their compositum field, mu the cross-ratio of the branch values in
-    the same point order, reported at the joint minimum over the size-6
-    cross-ratio symmetry group (so the label does not depend on any
-    ordering choice).  mu_alt = lambda^4 / mu is the other root of the
-    branch relation, and pattern lists the degrees of the closed points
-    carrying the ramification.  Equivalent expressions get equal
-    labels.
+    their compositum field F_{q^m}, mu the cross-ratio of the branch
+    values in the same point order, reported at the joint minimum over
+    the size-6 cross-ratio symmetry group (so the label does not depend
+    on any ordering choice).  mu_alt = lambda^4 / mu is the other root
+    of the branch relation, and pattern lists the degrees of the closed
+    points carrying the ramification.  Equivalent expressions get equal
+    labels.  Both cross-ratios come from the resolvent cubic of the
+    Wronskian (_four_point_label), without splitting over F_{q^m}.
     """
     if R.degree != 3:
         raise ValueError("four-point invariants need a cubic")
-    if not is_separable(R):
+    W = wronskian(R)
+    if W.is_zero:
         raise ValueError("inseparable cubic has no four-point invariants")
-    prof = ramification_profile(R)
-    if prof.indices != (2, 2, 2, 2):
+    factors = irreducible_factors(W)
+    if not _has_four_points(R.ctx, W, factors):
         raise ValueError("expression does not have four ramification points")
-    return _four_point_label(R, prof)
+    return _four_point_label(R, W, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +880,11 @@ _TWO_POINT = {
 def classify(R):
     """Classify a quadratic or cubic expression: returns (label, witness).
 
-    An inseparable expression (p = deg R) is N(x^p) for a Moebius N;
-    every other class is read off the ramification profile.  Cubics with
-    four ramification points get a FourPoint label built from
-    cross-ratio invariants and no witness.  The separable
+    An inseparable expression (p = deg R) is N(x^p) for a Moebius N.
+    Cubics with four ramification points, recognized from the factored
+    Wronskian, get a FourPoint label built from cross-ratio invariants
+    and no witness; every other class is read off the ramification
+    profile.  The separable
     characteristic-2 quadratic and the single wild points of
     characteristics 2 and 3 have witnesses of their own; every other
     class aligns R's distinguished points (_distinguished) with those of
@@ -758,14 +897,16 @@ def classify(R):
         raise ValueError("can only classify quadratic and cubic expressions")
     ctx = R.ctx
     p = ctx.p
-    if p == r and not is_separable(R):
+    W = wronskian(R)
+    if W.is_zero:  # inseparable, so p = r
         label = ClassLabel("Quad_X2_Insep" if p == 2 else "Cubic3_X3_Insep")
         return label, Witness(_witness_power_insep(R, r), R,
                               canonical_rep(label, ctx))
-    prof = ramification_profile(R)
+    factors = irreducible_factors(W)
+    if r == 3 and _has_four_points(ctx, W, factors):
+        return _four_point_label(R, W, factors), None
+    prof = ramification_profile(R, factors)
     idx = prof.indices
-    if idx == (2, 2, 2, 2):
-        return _four_point_label(R, prof), None
     if r == 2 and p == 2:
         label = ClassLabel("Quad_SepChar2")
         pair = _witness_quad_sep_char2(R, prof, canonical_rep(label, ctx))

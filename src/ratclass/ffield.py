@@ -26,9 +26,12 @@ every extension adds by XOR.  Beyond the tables each operation packs its
 operands into the kernel `_Packed`, computes there and reads the code
 back; the same kernel builds every field (the Rabin scan for its
 defining polynomial, its least primitive element and the walk that
-fills its tables).  The constructor refuses q above 2^24, which keeps
-every supported computation comfortably inside one desk session, and
-raises ScaleLimitError for it, as every other check of that bound does.
+fills its tables).  The bound of 2^24 applies to bases: the
+constructor builds F_{p^n} when p^(n/k) is within it for some k <= 4
+dividing n, so the extensions of degree at most 4 that ramification
+points and four-point invariants live in exist over every admissible
+base, all without tables.  Any other field raises ScaleLimitError, as
+every other check of that bound does.
 """
 
 from __future__ import annotations
@@ -541,7 +544,10 @@ def _field_create(p, n):
         raise ValueError("%r is not prime" % (p,))
     if not isinstance(n, int) or n < 1:
         raise ValueError("extension degree must be a positive integer")
-    check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
+    # the bound is on the base of the largest extension of degree <= 4
+    top = max(d for d in (1, 2, 3, 4) if n % d == 0)
+    if p ** (n // top) > DESK_SCALE_BOUND:
+        check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
     return FieldCtx(p, n)
 
 
@@ -729,9 +735,14 @@ def _solve_mod_p(cols, target, p):
 
 
 class Embedding:
-    """Field inclusion determined by the image of the source generator."""
+    """Field inclusion determined by the image of the source generator.
 
-    __slots__ = ("src", "dst", "image_of_generator", "_pows")
+    The images of the source's power basis are kept packed in the
+    destination's kernel, so an image is one F_p-linear combination of
+    them, reduced once.
+    """
+
+    __slots__ = ("src", "dst", "image_of_generator", "_pows", "_packed")
 
     def __init__(self, src, dst, image):
         self.src = src
@@ -741,6 +752,7 @@ class Embedding:
         for _ in range(src.n - 1):
             pows.append(pows[-1] * image)
         self._pows = pows
+        self._packed = [dst._kernel.pack(w.key) for w in pows]
 
     def __call__(self, a):
         if a.ctx is not self.src:
@@ -748,11 +760,11 @@ class Embedding:
                             (a.ctx.name, self.src.name))
         if self.src.n == 1:
             return self.dst.scalar(a.key)
-        acc = self.dst.zero
-        for c, w in zip(a.rep, self._pows):
+        v = 0
+        for c, w in zip(a.rep, self._packed):
             if c:
-                acc = acc + c * w
-        return acc
+                v += c * w
+        return self.dst._by_key(self.dst._kernel.code(v))
 
     def preimage(self, b):
         """The source element mapping to b; ValueError if b is outside
@@ -781,11 +793,12 @@ def _least_root_of_subfield_poly(coeffs, dst):
 
     A linear solve reads off the minimal polynomial mu over F_p of beta,
     a generator of the units of the subfield of order p^m in dst; a root
-    rho of mu is split off in src, interned as src.q^2 <= dst.q.  rho ->
-    beta extends to an isomorphism, so src's generator rho^k gives the
-    root r = beta^k of f, and f's roots are r's conjugates r^(p^i).
-    beta is g^((Q-1)/(p^m-1)) for the least g for which that has order
-    p^m - 1; the least conjugate does not depend on the choice.
+    rho of mu is split off in src.  rho -> beta extends to an
+    isomorphism, so writing src's generator as h(rho), h over F_p of
+    degree below m (a second linear solve), gives the root r = h(beta)
+    of f, and f's roots are r's conjugates r^(p^i).  beta is
+    g^((Q-1)/(p^m-1)) for the least g for which that has order p^m - 1;
+    the least conjugate does not depend on the choice.
     """
     from . import poly as _poly
     p, m = dst.p, len(coeffs) - 1
@@ -802,8 +815,14 @@ def _least_root_of_subfield_poly(coeffs, dst):
     mu = _solve_mod_p([list(w.rep) for w in pows[:m]],
                       [-c for c in pows[m].rep], p) + [1]
     rho = _poly.root_of_irreducible(_poly.Poly(base, mu), embed(base, src))
-    log, order = src._log, src.q - 1
-    r = beta ** (log[src.gen.key] * pow(log[rho.key], -1, order))
+    rho_pows = [src.one]
+    for _ in range(m - 1):
+        rho_pows.append(rho_pows[-1] * rho)
+    coords = _solve_mod_p([list(w.rep) for w in rho_pows], list(src.gen.rep),
+                          p)
+    k = dst._kernel
+    r = dst._by_key(k.code(sum(c * k.pack(w.key)
+                               for c, w in zip(coords, pows))))
     if _poly.Poly(dst, coeffs)(r):
         raise AssertionError("no root of %r in %s" % (coeffs, dst.name))
     conjugates = [r]

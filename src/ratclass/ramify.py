@@ -131,31 +131,35 @@ def ram_index(R, P):
     return _multiplicity(fiber, P)
 
 
-def ramification_profile(R):
+def ramification_profile(R, factors=None):
     """All geometric ramification points of a quadratic or cubic.
 
     Points are realized in F_{q^d} for the exact degree d at which they
     live (d <= 4); each carries its index and branch value.  Inseparable
-    input yields the distinguished everywhere-ramified profile.
+    input yields the distinguished everywhere-ramified profile.  A
+    caller that has already factored the Wronskian of a separable R
+    passes irreducible_factors(wronskian(R)) as factors.
     """
     if R.degree not in (2, 3):
         raise ValueError("degree %d out of scope" % R.degree)
-    W = wronskian(R)
-    if W.is_zero:
-        return RamProfile(False)
+    if factors is None:
+        W = wronskian(R)
+        if W.is_zero:
+            return RamProfile(False)
+        factors = irreducible_factors(W)
     ctx = R.ctx
     # an index is at most deg R, so for p > deg R every point is tame
     # and ord_P W = e - 1
     tame = ctx.p > R.degree
     points = []
     if tame:
-        e = 2 * R.degree - 1 - W.degree
+        e = 2 * R.degree - 1 - sum(u.degree * m for u, m in factors)
     else:
         e = ram_index(R, INF)
     if e >= 2:
         points.append(RamPoint(INF, e, R(INF), 1))
     lifts = {1: (None, R)}
-    for u, m in irreducible_factors(W):
+    for u, m in factors:
         d = u.degree
         if d not in lifts:
             emb = extend(ctx, d)[1]

@@ -1,11 +1,13 @@
 import importlib
 import itertools
+import math
 import random
 
 import pytest
 
 import ratclass.ffield as ff
 import ratclass.moebius as mb
+import ratclass.poly as pl
 import ratclass.ramify as rm
 import ratclass.ratexpr as rx
 
@@ -411,6 +413,192 @@ def test_four_point_relation_empirical_char3():
         four = [label for label in labels if label.case == "FourPoint"]
         assert len(four) >= 40
         assert all(holds(label) for label in four)
+
+
+def compositum_label(R):
+    """The FourPoint label of R with every ramification point split: the
+    points and branch values of the ramification profile are embedded
+    into the compositum F_{q^m} of their fields, both cross-ratios are
+    taken there in one point order, and the pair is reported at its
+    least image under the six maps of the cross-ratio symmetry group;
+    the oracle for classify's resolvent path."""
+    ctx = R.ctx
+    prof = rm.ramification_profile(R)
+    assert prof.indices == (2, 2, 2, 2)
+    degs = [pt.defining_degree for pt in prof.points]
+    ctxm = ff.extend(ctx, math.lcm(*degs))[0]
+    pts, brs = [], []
+    for pt in prof.points:
+        em = ff.embed(ff.extend(ctx, pt.defining_degree)[0], ctxm)
+        pts.append(rx.INF if pt.point is rx.INF else em(pt.point))
+        brs.append(rx.INF if pt.branch is rx.INF else em(pt.branch))
+    lam, mu = mb.cross_ratio(*pts), mb.cross_ratio(*brs)
+    lam, mu = min(((M(lam), M(mu)) for M in mb.s_group_maps(ctxm)),
+                  key=lambda lm: (rx.proj_key(lm[0]), rx.proj_key(lm[1])))
+    pattern = []
+    for d in sorted(set(degs)):
+        pattern += [d] * (degs.count(d) // d)
+    return cl.ClassLabel("FourPoint", {"lambda": lam, "mu": mu,
+                                       "mu_alt": lam ** 4 / mu,
+                                       "pattern": tuple(pattern)})
+
+
+def four_point_shape(R):
+    """(pattern, infinity shape) of a four-point cubic, from the
+    factorization of its Wronskian: the shape says whether infinity is
+    a ramification point and whether a ramification point maps to
+    infinity, which only rational points can do."""
+    W = rm.wronskian(R)
+    factors = pl.irreducible_factors(W)
+    at_inf = W.degree == 3
+    pattern = tuple(sorted([u.degree for u, _ in factors] + [1] * at_inf))
+    rational = [rx.INF] * at_inf + [-u.coeffs[0] for u, _ in factors
+                                    if u.degree == 1]
+    pole = any(R(P) is rx.INF for P in rational)
+    return pattern, (at_inf, pole), rational
+
+
+def is_four_point(R):
+    """Whether R has four ramification points, each simple in W."""
+    W = rm.wronskian(R)
+    return (R.ctx.p != 2 and not W.is_zero and W.degree >= 3
+            and all(m == 1 for _, m in pl.irreducible_factors(W)))
+
+
+def sampled_four_point_cubics(ctx, per_shape, rng, patterns=None):
+    """Seeded four-point cubics over ctx: up to per_shape of every
+    pattern (or of those given) and every infinity shape it reaches.
+    Each random cubic with a rational ramification point P also comes
+    moved by fixed maps that send infinity to P, P's branch value to
+    infinity, or both, which reaches the shapes random draws rarely
+    hit."""
+    found = {}
+    for R in itertools.islice(random_cubics(ctx, rng), 4000):
+        if not is_four_point(R):
+            continue
+        pattern, shape, rational = four_point_shape(R)
+        if patterns is not None and pattern not in patterns:
+            continue
+        moved = [R]
+        if rational:
+            P = rational[-1]
+            Q = R(P)
+            A = mb.three_point_map(P, *other_points(ctx, P))
+            B = mb.three_point_map(Q, *other_points(ctx, Q)).inverse()
+            moved += [mb.precompose(R, A), mb.post(B, R),
+                      mb.post(B, mb.precompose(R, A))]
+        for S in moved:
+            pattern, shape, _ = four_point_shape(S)
+            bucket = found.setdefault((pattern, shape), [])
+            if len(bucket) < per_shape:
+                bucket.append(S)
+        reachable = [(pat, shape) for pat in (patterns or FOUR_POINT_SHAPES)
+                     for shape in FOUR_POINT_SHAPES[pat]]
+        if all(len(found.get(key, ())) == per_shape for key in reachable):
+            break
+    return found
+
+
+def other_points(ctx, P):
+    """The first two points of P^1 other than P."""
+    return [Q for Q in itertools.islice(rx.proj_points(ctx), 3)
+            if rx.proj_key(Q) != rx.proj_key(P)][:2]
+
+
+def random_cubics(ctx, rng):
+    """Random cubics, numerator and denominator of degree up to 3."""
+    while True:
+        num, den = ([ctx.from_key(rng.randrange(ctx.q)) for _ in range(4)]
+                    for _ in range(2))
+        try:
+            R = rx.expr(ctx, num, den)
+        except ZeroDivisionError:
+            continue
+        if R.degree == 3:
+            yield R
+
+
+# the infinity shapes of each pattern: (1, 1, 2) needs F_q to hold the
+# fourth point, and the patterns without a rational point reach only
+# the finite shape
+_SHAPES = [(False, False), (True, False), (False, True), (True, True)]
+FOUR_POINT_SHAPES = {(1, 1, 1, 1): _SHAPES, (1, 1, 2): _SHAPES,
+                     (1, 3): _SHAPES, (2, 2): _SHAPES[:1], (4,): _SHAPES[:1]}
+
+
+def check_four_point(R, rng):
+    label = cl.classify_cubic(R)[0]
+    assert label == compositum_label(R), (R.ctx.name, str(R))
+    assert cl.lambda_mu_relation(label.param("lambda"), label.param("mu"))
+    assert cl.classify(mb.act(random_pair(R.ctx, rng), R))[0] == label
+    return label
+
+
+def pencil_cubics(ctx):
+    """One cubic f/g per basepoint-free pencil <f, g>: f monic of degree
+    3 with no x^e term, g monic of degree e < 3, coprime.  Every cubic
+    is B(f/g) for exactly one of them and some Moebius B, which changes
+    no label."""
+    els = list(ctx)
+    for e in range(3):
+        for low in itertools.product(els, repeat=e):
+            for a, b in itertools.product(els, repeat=2):
+                f = [a, b]
+                f.insert(e, ctx.zero)
+                R = rx.expr(ctx, f + [ctx.one], list(low) + [ctx.one])
+                if R.degree == 3:
+                    yield R
+
+
+def test_four_point_labels_match_compositum_oracle_exhaustively():
+    # every cubic over F_3, and every cubic over F_5 and F_7 through
+    # the pencils
+    rng = random.Random(7)
+    four = [R for R in rx.enumerate_expressions(F3, 3)
+            if cl.classify_cubic(R)[0].case == "FourPoint"]
+    assert len(four) == 1152
+    for R in four:
+        check_four_point(R, rng)
+    for ctx, count in ((F5, 480), (F7, 2016)):
+        four = [R for R in pencil_cubics(ctx) if is_four_point(R)]
+        assert len(four) == count
+        for R in four:
+            check_four_point(R, rng)
+
+
+def test_four_point_labels_match_compositum_oracle_sampled():
+    # every pattern and every infinity shape, over small and larger
+    # fields of characteristic 3 and at least 5
+    rng = random.Random(11)
+    seen = set()
+    for p, n, per_shape in ((5, 1, 4), (7, 1, 4), (3, 2, 4), (11, 1, 3),
+                            (13, 1, 3), (3, 3, 3), (31, 1, 2), (3, 5, 1)):
+        ctx = ff.field_create(p, n)
+        # the four-point cubics over F_5 have the patterns (1, 3),
+        # (1, 1, 2) and (4) only (all 75,000 cubics classified)
+        patterns = [pat for pat in FOUR_POINT_SHAPES
+                    if ctx.q != 5 or pat in ((1, 3), (1, 1, 2), (4,))]
+        for key, exprs in sampled_four_point_cubics(ctx, per_shape, rng,
+                                                    patterns).items():
+            for R in exprs:
+                assert check_four_point(R, rng).param("pattern") == key[0]
+            seen.add(key)
+    assert seen == {(pat, shape) for pat, shapes in FOUR_POINT_SHAPES.items()
+                    for shape in shapes}
+
+
+def test_pattern_4_labels_beyond_the_old_bound():
+    # F_{q^4} exceeds 2^24 for q = 101 and 243: the oracle splits there,
+    # and classify needs only F_{q^2} and an embedding
+    rng = random.Random(13)
+    for p, n in ((101, 1), (3, 5)):
+        ctx = ff.field_create(p, n)
+        assert ctx.q ** 4 > ff.DESK_SCALE_BOUND
+        found = sampled_four_point_cubics(ctx, 3, rng, patterns=[(4,)])
+        assert len(found[(4,), (False, False)]) == 3
+        for R in found[(4,), (False, False)]:
+            assert check_four_point(R, rng).param("lambda").ctx.q \
+                == ctx.q ** 4
 
 
 def test_family_orbit_equivalences_f7_f13():

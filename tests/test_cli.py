@@ -81,6 +81,26 @@ def test_classify_four_point_json(capsys):
     assert len(data["ramification"]["points"]) == 4
 
 
+def test_classify_and_ramify_beyond_the_old_field_bound(capsys):
+    # W is irreducible of degree 4 over F_101, so the ramification
+    # points live in F_{101^4}, which has more than 2^24 elements;
+    # classify reads the label off the resolvent in F_{101^2}
+    text = "(x^3+2*x+1)/(x^2+3)"
+    code, out, err = run(capsys, "classify", "--field", "101", "--json",
+                         text)
+    assert code == 0 and err == ""
+    label = json.loads(out)["label"]
+    assert label["case"] == "FourPoint"
+    assert label["invariants"] == {"lambda": "19t^2+18", "mu": "4t^2+27",
+                                   "mu_alt": "20t^2+99", "pattern": [4]}
+    code, out, err = run(capsys, "ramify", "--field", "101", "--json", text)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert [(pt["field_degree"], pt["index"]) for pt in data["points"]] \
+        == [(4, 2)] * 4
+    assert data["hurwitz"] == "holds_with_equality"
+
+
 def test_classify_rejects_constants(capsys):
     code, out, err = run(capsys, "classify", "--field", "3", "x/x")
     assert code == 1

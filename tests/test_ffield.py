@@ -672,9 +672,15 @@ def test_embeddings_match_scan_chain():
 
 def test_embedding_images_of_large_towers():
     # codes the scan-and-split chain gave for the classify-stream
-    # towers, where the scan oracle is too slow to run
+    # towers, where the scan oracle is too slow to run, and the codes
+    # the discrete-log step gave for every other embedding between
+    # those fields and their extensions of degree <= 4 under the bound
     pinned = {(2, 6, 24): 2065534, (3, 5, 15): 5136439,
-              (3, 3, 12): 8100, (31, 1, 4): 1}
+              (3, 3, 12): 8100, (31, 1, 4): 1,
+              (11, 2, 4): 3681, (13, 2, 4): 169, (31, 2, 4): 125553,
+              (3, 3, 6): 144, (3, 3, 9): 1629, (3, 6, 12): 9,
+              (2, 6, 12): 163, (2, 6, 18): 8, (2, 12, 24): 595469,
+              (3, 5, 10): 9}
     for (p, a, b), key in pinned.items():
         e = ff.embed(ff.field_create(p, a), ff.field_create(p, b))
         assert e.image_of_generator.key == key
@@ -720,6 +726,39 @@ def test_subfield_roots_match_split_oracle(monkeypatch):
     monkeypatch.undo()
     for root, (src, dst) in zip(got, steps):
         assert root == split_least_root(src.defining, dst), (src, dst)
+
+
+def test_subfield_roots_beyond_the_tables():
+    # sources without discrete-log tables: the generator is written in
+    # the split-off root by a linear solve, and the embeddings reach the
+    # quartic extensions of F_243 and F_101 beyond the desk-scale bound
+    for p, a, b in ((3, 10, 20), (101, 2, 4)):
+        src, dst = ff.field_create(p, a), ff.field_create(p, b)
+        assert src.elements is None and dst.elements is None
+        root = ff._least_root_of_subfield_poly(src.defining, dst)
+        assert root == split_least_root(src.defining, dst), (src, dst)
+        e = ff.embed(src, dst)
+        assert e.image_of_generator == root
+        rng = random.Random(b)
+        for _ in range(5):
+            x, y = (src.from_key(rng.randrange(src.q)) for _ in range(2))
+            assert e(x * y) == e(x) * e(y) and e(x + y) == e(x) + e(y)
+            assert e.preimage(e(x)) == x
+
+
+def test_extensions_beyond_the_bound_build_without_tables():
+    # the bound applies to bases: extensions of degree <= 4 over a field
+    # within it are built, without tables
+    for p, n in ((3, 20), (101, 4)):
+        ctx = ff.field_create(p, n)
+        assert ctx.q > ff.DESK_SCALE_BOUND and ctx.elements is None
+        assert ctx.defining == list_defining_poly(p, n)
+        a = ctx.from_key(ctx.q - 2)
+        assert (a * a.inverse()).key == 1
+        acc = ctx.zero
+        for c in reversed(ctx.defining):
+            acc = acc * ctx.gen + c
+        assert acc == ctx.zero
 
 
 def test_subfield_roots_split_nothing_over_the_destination(monkeypatch):

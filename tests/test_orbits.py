@@ -119,10 +119,12 @@ def test_orbit_scale_guard():
 
 def test_desk_scale_refusals_share_one_error():
     # each of the five checks of the bound raises the one typed error,
-    # whose message names the bound
+    # whose message names the bound; a field is refused when no
+    # extension degree k <= 4 puts its base within the bound
     F257 = ff.field_create(257)
     refusals = {
         "field": lambda: ff.field_create(2, 25),
+        "field of prime degree": lambda: ff.field_create(2, 97),
         "pgl2": lambda: next(mb.pair_scan(rx.expr(F257, (0, 0, 0, 1)),
                                           rx.expr(F257, (0, 0, 0, 1)))),
         "pairs": lambda: ob.coprime_pair_count(F16, 3, 4),
