@@ -43,7 +43,7 @@ from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       solve_post, three_point_map)
 from .poly import (Poly, _distinct_degree_split, _synthetic_div,
                    irreducible_factors, poly_x, root_of_irreducible)
-from .ramify import ramification_profile, wronskian
+from .ramify import _profile, ramification_profile, wronskian
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
 
@@ -760,8 +760,8 @@ def _four_point_label(R, W, factors):
     splits into quadratics over F_q they come from its factors; else
     (patterns (4) and (1, 3)) from the resolvent root theta_13 in F_q,
     resp. F_{q^3}, by Ferrari's method.  Nothing is split over the field
-    F_{q^m} of the points: the six pairs of the cross-ratio symmetry
-    group are embedded there and the least by element code is kept.
+    F_{q^m} of the points: the pair is embedded there and the least of
+    its six images under the cross-ratio symmetry group is kept.
     """
     ctx = R.ctx
     factors = [u for u, _ in factors]
@@ -819,8 +819,9 @@ def _four_point_label(R, W, factors):
     mu = 2 * diff / (sums + diff - 2 * prods)
     if not lambda_mu_relation(lam, mu):
         raise AssertionError("cross-ratio pair violates the branch relation")
-    # the cross-ratio symmetry group: x, 1/x, 1 - x, x/(x - 1),
-    # 1/(1 - x) and (x - 1)/x
+    # the images under s_group_maps: x, 1/x, 1 - x, x/(x - 1), 1/(1 - x)
+    # and (x - 1)/x, from two inverses per value; its six divisions
+    # took a fifth of a pattern (4) label beyond the tables
     orbit = []
     for x in (lam, mu):
         inv, inv1 = x.inverse(), (1 - x).inverse()
@@ -905,7 +906,7 @@ def classify(R):
     factors = irreducible_factors(W)
     if r == 3 and _has_four_points(ctx, W, factors):
         return _four_point_label(R, W, factors), None
-    prof = ramification_profile(R, factors)
+    prof = _profile(R, factors)
     idx = prof.indices
     if r == 2 and p == 2:
         label = ClassLabel("Quad_SepChar2")

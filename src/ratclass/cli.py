@@ -17,7 +17,7 @@ import sys
 
 from .classify import (CASES, ClassLabel, are_equivalent, canonical_rep,
                        classify, label_json)
-from .ffield import _prime_factors, field_create
+from .ffield import _prime_factors, check_desk_scale, field_create
 from .orbits import STATEMENTS, all_classes, verify_statement
 from .parse import ParseError, parse_expression
 from .ramify import hurwitz_check, ramification_profile
@@ -31,13 +31,16 @@ class _ArgParser(argparse.ArgumentParser):
 
 
 def parse_field(text):
-    """A field designator: p^n, or a plain prime power like 8."""
+    """A field designator: p^n, or a plain prime power like 8.  The
+    field must lie within the desk-scale bound; the extensions that
+    classify and ramify build over it may exceed the bound."""
     if "^" in text:
         base, _, exp = text.partition("^")
         try:
             p, n = int(base), int(exp)
         except ValueError:
             raise ValueError("field designator %r is not p^n" % text)
+        check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
         return field_create(p, n)
     try:
         q = int(text)
@@ -45,6 +48,7 @@ def parse_field(text):
         raise ValueError("field designator %r is not p^n" % text)
     if q < 2:
         raise ValueError("field size must be at least 2")
+    check_desk_scale(q, "elements of F_%d" % q)
     primes = _prime_factors(q)
     if len(primes) != 1:
         raise ValueError("%d is not a prime power" % q)

@@ -26,12 +26,13 @@ every extension adds by XOR.  Beyond the tables each operation packs its
 operands into the kernel `_Packed`, computes there and reads the code
 back; the same kernel builds every field (the Rabin scan for its
 defining polynomial, its least primitive element and the walk that
-fills its tables).  The bound of 2^24 applies to bases: the
-constructor builds F_{p^n} when p^(n/k) is within it for some k <= 4
-dividing n, so the extensions of degree at most 4 that ramification
-points and four-point invariants live in exist over every admissible
-base, all without tables.  Any other field raises ScaleLimitError, as
-every other check of that bound does.
+fills its tables).  The bound of 2^24 applies to the fields worked
+over, which the CLI checks.  The constructor also builds F_{p^n} when
+p^(n/k) is within it for some k <= 4 dividing n, so the extensions of
+degree at most 4 that ramification points and four-point invariants
+live in exist over every field within the bound, all without tables.
+Any other field raises ScaleLimitError, as every other check of that
+bound does.
 """
 
 from __future__ import annotations

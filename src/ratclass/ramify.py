@@ -131,22 +131,24 @@ def ram_index(R, P):
     return _multiplicity(fiber, P)
 
 
-def ramification_profile(R, factors=None):
+def ramification_profile(R):
     """All geometric ramification points of a quadratic or cubic.
 
     Points are realized in F_{q^d} for the exact degree d at which they
     live (d <= 4); each carries its index and branch value.  Inseparable
-    input yields the distinguished everywhere-ramified profile.  A
-    caller that has already factored the Wronskian of a separable R
-    passes irreducible_factors(wronskian(R)) as factors.
+    input yields the distinguished everywhere-ramified profile.
     """
     if R.degree not in (2, 3):
         raise ValueError("degree %d out of scope" % R.degree)
-    if factors is None:
-        W = wronskian(R)
-        if W.is_zero:
-            return RamProfile(False)
-        factors = irreducible_factors(W)
+    W = wronskian(R)
+    if W.is_zero:
+        return RamProfile(False)
+    return _profile(R, irreducible_factors(W))
+
+
+def _profile(R, factors):
+    """The profile of a separable quadratic or cubic R from the
+    irreducible factors of its Wronskian, for a caller that has them."""
     ctx = R.ctx
     # an index is at most deg R, so for p > deg R every point is tame
     # and ord_P W = e - 1

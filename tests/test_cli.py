@@ -29,6 +29,12 @@ def test_parse_field():
                      ("12", "12 is not a prime power")):
         with pytest.raises(ValueError, match=msg):
             parse_field(bad)
+    # a designated field stays within the bound, though field_create
+    # builds these as extensions of degree 4 over fields within it
+    for big in ("101^4", "2^96", "33554432"):
+        with pytest.raises(ff.ScaleLimitError,
+                           match="exceed the limit 16777216"):
+            parse_field(big)
 
 
 def test_label_text():
@@ -99,6 +105,10 @@ def test_classify_and_ramify_beyond_the_old_field_bound(capsys):
     assert [(pt["field_degree"], pt["index"]) for pt in data["points"]] \
         == [(4, 2)] * 4
     assert data["hurwitz"] == "holds_with_equality"
+    # F_{101^4} serves as an extension, not as a field to work over
+    code, out, err = run(capsys, "classify", "--field", "101^4", text)
+    assert code == 1 and out == ""
+    assert "104060401 elements of F_101^4 exceed the limit 16777216" in err
 
 
 def test_classify_rejects_constants(capsys):
