@@ -17,7 +17,8 @@ import sys
 
 from .classify import (CASES, ClassLabel, are_equivalent, canonical_rep,
                        classify, label_json)
-from .ffield import _prime_factors, check_desk_scale, field_create
+from .ffield import (_prime_factors, check_desk_scale, check_power_scale,
+                     field_create)
 from .orbits import STATEMENTS, all_classes, verify_statement
 from .parse import ParseError, parse_expression
 from .ramify import hurwitz_check, ramification_profile
@@ -40,7 +41,7 @@ def parse_field(text):
             p, n = int(base), int(exp)
         except ValueError:
             raise ValueError("field designator %r is not p^n" % text)
-        check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
+        check_power_scale(p, n, "elements of F_%d^%d" % (p, n))
         return field_create(p, n)
     try:
         q = int(text)

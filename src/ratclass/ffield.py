@@ -55,9 +55,26 @@ def check_desk_scale(size, what):
     naming the bound, with what naming the objects counted (as in
     "expressions of degree 3 over F_11")."""
     if size > DESK_SCALE_BOUND:
-        raise ScaleLimitError("%d %s exceed the limit %d, the desk-scale "
-                              "bound" % (size, what, DESK_SCALE_BOUND))
+        raise _scale_error(size, what)
     return size
+
+
+def _scale_error(size, what):
+    return ScaleLimitError("%s %s exceed the limit %d, the desk-scale bound"
+                           % (size, what, DESK_SCALE_BOUND))
+
+
+# 2^_BOUND_BITS is the bound, so |p| >= 2 puts p^n beyond it once
+# n > _BOUND_BITS
+_BOUND_BITS = DESK_SCALE_BOUND.bit_length() - 1
+
+
+def check_power_scale(p, n, what):
+    """check_desk_scale(p ** n, what), with a power that is beyond the
+    bound for its exponent alone refused before it is computed."""
+    if abs(p) >= 2 and n > _BOUND_BITS:
+        raise _scale_error("%d^%d" % (p, n), what)
+    return check_desk_scale(p ** n, what)
 
 
 def _is_prime(m):
@@ -541,14 +558,21 @@ def field_create(p, n=1):
 
 @functools.lru_cache(maxsize=None)
 def _field_create(p, n):
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise ValueError("%r is not prime" % (p,))
     if not isinstance(n, int) or n < 1:
         raise ValueError("extension degree must be a positive integer")
-    # the bound is on the base of the largest extension of degree <= 4
+    # the bound is on the base of the largest extension of degree <= 4;
+    # no base fits it once p or p^(n/4) does not, and that is decided
+    # before p^n is computed or p is tested for primality
+    what = "elements of F_%d^%d" % (p, n)
+    if p > DESK_SCALE_BOUND or n > 4 * _BOUND_BITS:
+        raise _scale_error("%d^%d" % (p, n), what)
     top = max(d for d in (1, 2, 3, 4) if n % d == 0)
     if p ** (n // top) > DESK_SCALE_BOUND:
-        check_desk_scale(p ** n, "elements of F_%d^%d" % (p, n))
+        check_desk_scale(p ** n, what)
+    if not _is_prime(p):
+        raise ValueError("%r is not prime" % (p,))
     return FieldCtx(p, n)
 
 

@@ -4,18 +4,21 @@ The group PGL_2(F_q) x PGL_2(F_q) acts on degree-r expressions by
 (B, A) . R = B(R(A^{-1}(x))).  This module enumerates orbits as unions
 of post-orbits {B(R(A(x)))} over the source maps A, counts stabilizers,
 partitions the full set of quadratics or cubics over a small field into
-classes, and verifies the partition against closed-form counts.
+classes, and verifies the partition against closed-form counts.  A
+post-orbit is the set of expressions of one pencil <num, den>, so the
+partition classifies one expression per basepoint-free pencil and
+checks a witness composed from it on every other member.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .classify import CASES, canonical_rep, classify, label_json
+from .classify import CASES, Witness, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import enumerate_pgl2, pair_scan, post, precompose
+from .moebius import PairAction, enumerate_pgl2, pair_scan, post, precompose
 from .poly import Poly, gcd_monic
-from .ratexpr import count_expressions, enumerate_expressions
+from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
 STATEMENTS = ("expr-count", "quad-counts", "char2-cubic-counts",
               "six-counts", "class-bound")
@@ -25,6 +28,27 @@ def _monic_of_degree(ctx, r):
     one = ctx.one
     for low in itertools.product(list(ctx), repeat=r):
         yield Poly(ctx, low + (one,))
+
+
+def _pencils(ctx, r):
+    """One expression f/g of each basepoint-free pencil of degree r.
+
+    A pencil <num, den> of polynomials of degree <= r holds expressions
+    of degree r exactly when it has a member of degree r and a coprime
+    basis.  Its reduced echelon basis, with the columns read from x^r
+    down, is then f monic of degree r and g monic of degree s < r whose
+    x^s coefficient in f is zero; f/g is in lowest terms, and the pencil
+    holds the q^3 - q expressions B(f/g), B in PGL_2.  There are
+    q^(2r-2) such pencils.
+    """
+    els = list(ctx)
+    zero, one = ctx.zero, ctx.one
+    for s in range(r):
+        for g in _monic_of_degree(ctx, s):
+            for low in itertools.product(els, repeat=r - 1):
+                f = Poly(ctx, low[:s] + (zero,) + low[s:] + (one,))
+                if gcd_monic(f, g).degree == 0:
+                    yield _normalized(f, g)
 
 
 def coprime_pair_count(ctx, r, s):
@@ -140,28 +164,44 @@ def _label_sort_key(label):
 def all_classes(ctx, degree):
     """Partition every degree-2 or degree-3 expression into classes.
 
-    Expressions are bucketed by classification label.  A non-FourPoint
-    bucket is a single class: each member carries a verified witness
-    onto the shared canonical representative.  FourPoint buckets are
-    split into orbits by orbit_of, so merged invariants cannot hide
-    distinct classes.
+    Each expression is B(R) for exactly one pencil representative R
+    (_pencils) and one B in PGL_2, and all of a pencil's members share
+    R's class, so R alone is classified.  A non-FourPoint member still
+    gets a verified witness onto the canonical representative T: if
+    (B0, A0) maps R onto T, then (B0 B^-1, A0) maps B(R) onto T, and
+    Witness re-checks that pair by one act.  Every member of a
+    non-FourPoint bucket is thus proved to lie in the single class of
+    its label, and the bucket keeps only a count.  FourPoint members
+    are listed, and their buckets are split into orbits by orbit_of, so
+    merged invariants cannot hide distinct classes.
     """
     if degree not in (2, 3):
         raise ValueError("class partitions cover degrees 2 and 3 only")
     total_expected = _check_scale(ctx, degree)
+    group = enumerate_pgl2(ctx)
+    # with E = B B0^-1 the member B(R) is E(B0(R)) and its pair is
+    # (E^-1, A0); E runs over the group as B does
+    inverses = [E.inverse() for E in group]
+    counts = {}
     buckets = {}
-    for R in enumerate_expressions(ctx, degree):
-        label = classify(R)[0]
-        buckets.setdefault(label, []).append(R)
-    group_sq = (ctx.q ** 3 - ctx.q) ** 2
+    for R in _pencils(ctx, degree):
+        label, witness = classify(R)
+        if label.case == "FourPoint":
+            buckets.setdefault(label, []).extend(post(E, R) for E in group)
+            continue
+        R0 = post(witness.B, R)
+        A0, T = witness.A, witness.target
+        for E, E_inv in zip(group, inverses):
+            Witness(PairAction(E_inv, A0), post(E, R0), T)
+        counts[label] = counts.get(label, 0) + len(group)
+    group_sq = len(group) ** 2
     classes = []
-    for label in sorted(buckets, key=_label_sort_key):
-        members = buckets[label]
-        if label.case != "FourPoint":
-            found = [(canonical_rep(label, ctx), len(members))]
+    for label in sorted(counts.keys() | buckets.keys(), key=_label_sort_key):
+        if label in counts:
+            found = [(canonical_rep(label, ctx), counts[label])]
         else:
             found = []
-            remaining = set(members)
+            remaining = set(buckets[label])
             while remaining:
                 seed = min(remaining, key=lambda R: R.key)
                 orb = orbit_of(seed)

@@ -11,6 +11,7 @@ import importlib.util
 import inspect
 import pathlib
 
+import ratclass
 import ratclass.ffield as ff
 import ratclass.ratexpr as rx
 
@@ -45,3 +46,19 @@ def test_wronskian_shape_runs():
     # infinity with order 2
     R = rx.expr(F5, (0, -3, 0, 1))
     assert workloads.wronskian_shape(R) == ("1+1+inf^2", 1)
+
+
+def test_partition_check_passes_on_real_reports():
+    # Partition.check reaches into orbits for the closed-form sizes and
+    # reads each class's size and label, so a change there that broke
+    # the check would fail every partition op of the benchmark
+    workloads = load("workloads")
+    bench = workloads.Partition(ratclass, 1)
+    F2 = ff.field_create(2)
+    for degree in (2, 3):
+        inp = {"ctx": F2, "degree": degree}
+        report = ratclass.all_classes(F2, degree)
+        out = workloads.Outcome(inp, report, None, 0.0, 0.0)
+        assert bench.check(out) is None, degree
+        report.classes[0]["size"] += 1
+        assert "closed form" in bench.check(out), degree

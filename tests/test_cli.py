@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -35,6 +36,23 @@ def test_parse_field():
         with pytest.raises(ff.ScaleLimitError,
                            match="exceed the limit 16777216"):
             parse_field(big)
+
+
+def test_huge_field_designator_refused_promptly(capsys):
+    # 2^99999999999 would be a 12.5 GB integer; a designator with
+    # |p| >= 2 and n > 24 is refused before the power is computed
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--field", "2^99999999999",
+                         "x^2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "2^99999999999 elements of F_2^99999999999 exceed the limit " \
+        "16777216, the desk-scale bound" in err
+    with pytest.raises(ff.ScaleLimitError, match="3\\^25 elements"):
+        parse_field("3^25")
+    code, out, err = run(capsys, "classify", "--field", "2305843009213693951",
+                         "x^2")
+    assert code == 1 and "exceed the limit 16777216" in err
 
 
 def test_label_text():

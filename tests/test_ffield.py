@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import pathlib
 import random
+import time
 import types
 
 import pytest
@@ -338,6 +339,22 @@ def test_context_is_cached_and_validated():
         ff.field_create(2, 25)
     big = ff.field_create(2, 24)
     assert big.q == 1 << 24 and big.elements is None
+
+
+def test_oversized_fields_refused_before_building():
+    # no field passes with p > 2^24 or n > 96, and that is decided before
+    # p is trial-divided (about 7.6e8 odd candidates for 2^61 - 1) or
+    # p^n is computed
+    t0 = time.perf_counter()
+    for p, n in ((2 ** 61 - 1, 1), (2 ** 61, 1), (2, 97), (3, 10 ** 12)):
+        with pytest.raises(ff.ScaleLimitError,
+                           match="exceed the limit 16777216, the "
+                                 "desk-scale bound"):
+            ff.field_create(p, n)
+    assert time.perf_counter() - t0 < 1.0
+    for p in (1, 0, -3):
+        with pytest.raises(ValueError, match="is not prime"):
+            ff.field_create(p)
 
 
 def test_field_axioms_exhaustive_small():

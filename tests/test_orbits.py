@@ -164,6 +164,103 @@ def test_orbit_stabilizer_product():
         assert len(orb) * ob.stabilizer_order(R) == GROUP_SQ[ctx.q]
 
 
+def expression_oracle(ctx, degree):
+    """all_classes by classifying every expression, as it was computed
+    before the partition walked pencils.
+
+    While it walks, each expression's label is checked against the
+    label of its pencil's representative, which is found here by
+    reducing the expression's own pencil to echelon form.
+    """
+    reps = {R: cl.classify(R)[0] for R in ob._pencils(ctx, degree)}
+    q = ctx.q
+    assert len(reps) == q ** (2 * degree - 2)
+    per_pencil = dict.fromkeys(reps, 0)
+    buckets = {}
+    for S in rx.enumerate_expressions(ctx, degree):
+        label = cl.classify(S)[0]
+        rep = pencil_rep(S)
+        assert reps[rep] == label, (str(S), str(rep))
+        per_pencil[rep] += 1
+        buckets.setdefault(label, []).append(S)
+    assert set(per_pencil.values()) == {q ** 3 - q}
+    group_sq = (q ** 3 - q) ** 2
+    classes = []
+    for label in sorted(buckets, key=ob._label_sort_key):
+        members = buckets[label]
+        if label.case != "FourPoint":
+            found = [(cl.canonical_rep(label, ctx), len(members))]
+        else:
+            found = []
+            remaining = set(members)
+            while remaining:
+                orb = ob.orbit_of(min(remaining, key=lambda R: R.key))
+                assert orb <= remaining
+                remaining -= orb
+                found.append((min(orb, key=lambda R: R.key), len(orb)))
+        for rep, size in found:
+            classes.append({"representative": rep, "size": size,
+                            "label": label,
+                            "stabilizer_order": group_sq // size})
+    return ob.OrbitReport(q, degree, classes,
+                          sum(c["size"] for c in classes))
+
+
+def pencil_rep(S):
+    """f/g from the reduced echelon basis of <S_num, S_den>, with the
+    coefficient columns taken from x^r down."""
+    ctx, r = S.ctx, S.degree
+    rows = [[f.coeff(k) for k in range(r + 1)] for f in (S.num, S.den)]
+    if not rows[0][r].key:
+        rows.reverse()
+    f = [c / rows[0][r] for c in rows[0]]
+    h = [a - rows[1][r] * b for a, b in zip(rows[1], f)]
+    s = max(k for k in range(r) if h[k].key)
+    g = [c / h[s] for c in h[:s + 1]] + [ctx.zero] * (r - s)
+    f = [a - f[s] * b for a, b in zip(f, g)]
+    return rx.expr(ctx, f, g)
+
+
+ORACLE_CASES = [(F2, 2), (F2, 3), (F3, 2), (F3, 3), (F4, 2), (F5, 2),
+                (F4, 3)]
+
+
+@pytest.mark.parametrize("ctx, degree", ORACLE_CASES,
+                         ids=["%s-%d" % (c.name, d) for c, d in ORACLE_CASES])
+def test_all_classes_matches_expression_oracle(ctx, degree):
+    # the benchmark's six partition cases and the F_4 cubics
+    want = json.dumps(expression_oracle(ctx, degree).to_json(ctx))
+    assert json.dumps(ob.all_classes(ctx, degree).to_json(ctx)) == want
+
+
+def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
+    # over F_3 one classify per pencil: 1944 cubics / 24 members = 81;
+    # and one verifying act outside classify per member of the 33
+    # non-FourPoint pencils, 1944 - 1152 FourPoint members = 792
+    calls = {"classify": 0, "act": 0}
+    inside = []
+    classify, act = ob.classify, cl.act
+
+    def counted_classify(R):
+        calls["classify"] += 1
+        inside.append(R)
+        try:
+            return classify(R)
+        finally:
+            inside.pop()
+
+    def counted_act(pair, R):
+        if not inside:
+            calls["act"] += 1
+        return act(pair, R)
+
+    monkeypatch.setattr(ob, "classify", counted_classify)
+    monkeypatch.setattr(cl, "act", counted_act)
+    report = ob.all_classes(F3, 3)
+    assert report.total == 1944
+    assert calls == {"classify": 81, "act": 792}
+
+
 def test_all_classes_f2_quad():
     report = ob.all_classes(F2, 2)
     assert report.total == 24 and report.class_count == 2
