@@ -18,13 +18,15 @@ agree on all canonical data built downstream:
   (least root of the canonical quadratic over sigma) are all "least" in
   the same element order.
 
-An element is its field and its code, nothing more.  Fields with at
-most 2^13 elements intern every element and multiply through
-discrete-log tables; their odd-characteristic proper extensions add
-through Zech logarithms.  In characteristic 2 codes are bit vectors, so
-every extension adds by XOR.  Beyond the tables each operation packs its
-operands into the kernel `_Packed`, computes there and reads the code
-back; the same kernel builds every field (the Rabin scan for its
+An element is its field and its code, nothing more, and the field
+computes on codes (FieldCtx).  Prime fields add and multiply mod p.
+Fields with at most 2^13 elements intern every element and keep
+discrete-log tables; their proper extensions multiply through them,
+and in odd characteristic add through Zech logarithms.  In
+characteristic 2 codes are bit vectors, so every extension adds by
+XOR.  Beyond the tables each operation packs its operands into the
+kernel `_Packed`, computes there and reads the code back; the same
+kernel builds every field (the Rabin scan for its
 defining polynomial, its least primitive element and the walk that
 fills its tables).  The bound of 2^24 applies to the fields worked
 over, which the CLI checks.  The constructor also builds F_{p^n} when
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 DESK_SCALE_BOUND = 1 << 24
 INTERN_BOUND = 1 << 13
@@ -277,35 +280,22 @@ class Fel:
         return None
 
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
-        if ctx.n == 1:
-            return ctx._by_key((self.key + other.key) % ctx.p)
-        if ctx.p == 2:
-            return ctx._by_key(self.key ^ other.key)
-        if ctx._zech is not None:
-            return ctx._zech_add(self.key, other.key)
-        k = ctx._kernel
-        return Fel(ctx, k.code(k.pack(self.key) + k.pack(other.key)))
+        if type(other) is not Fel or other.ctx is not ctx:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return ctx._by_key(ctx.add(self.key, other.key))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
-        if ctx.n == 1:
-            return ctx._by_key((self.key - other.key) % ctx.p)
-        if ctx.p == 2:
-            return ctx._by_key(self.key ^ other.key)
-        if ctx._zech is not None:
-            return ctx._zech_add(self.key, ctx._neg_key(other.key))
-        k = ctx._kernel
-        return Fel(ctx, k.code(k.pack(self.key)
-                               + (ctx.p - 1) * k.pack(other.key)))
+        if type(other) is not Fel or other.ctx is not ctx:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return ctx._by_key(ctx.sub(self.key, other.key))
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -315,29 +305,15 @@ class Fel:
 
     def __neg__(self):
         ctx = self.ctx
-        if ctx.n == 1:
-            return ctx._by_key(-self.key % ctx.p)
-        if ctx.p == 2:
-            return self
-        if ctx._zech is not None:
-            return ctx.elements[ctx._neg_key(self.key)]
-        k = ctx._kernel
-        return Fel(ctx, k.code((ctx.p - 1) * k.pack(self.key)))
+        return ctx._by_key(ctx.neg(self.key))
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
         ctx = self.ctx
-        log = ctx._log
-        if log is not None:
-            ka, kb = self.key, other.key
-            if ka == 0 or kb == 0:
-                return ctx.zero
-            return ctx._exp[(log[ka] + log[kb]) % (ctx.q - 1)]
-        k = ctx._kernel
-        return Fel(ctx, k.code(k.product(k.pack(self.key),
-                                         k.pack(other.key))))
+        if type(other) is not Fel or other.ctx is not ctx:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return ctx._by_key(ctx.mul(self.key, other.key))
 
     __rmul__ = __mul__
 
@@ -345,11 +321,7 @@ class Fel:
         ctx = self.ctx
         if self.key == 0:
             raise ZeroDivisionError("inverse of 0 in " + ctx.name)
-        log = ctx._log
-        if log is not None:
-            return ctx._exp[(ctx.q - 1 - log[self.key]) % (ctx.q - 1)]
-        k = ctx._kernel
-        return Fel(ctx, k.code(k.pow(k.pack(self.key), ctx.q - 2)))
+        return ctx._by_key(ctx.inv(self.key))
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -373,12 +345,7 @@ class Fel:
             if e < 0:
                 raise ZeroDivisionError("0 to a negative power in " + ctx.name)
             return self
-        e %= ctx.q - 1
-        log = ctx._log
-        if log is not None:
-            return ctx._exp[(log[self.key] * e) % (ctx.q - 1)]
-        k = ctx._kernel
-        return Fel(ctx, k.code(k.pow(k.pack(self.key), e)))
+        return ctx._by_key(ctx.pow(self.key, e % (ctx.q - 1)))
 
     def __eq__(self, other):
         if type(other) is Fel:
@@ -435,6 +402,21 @@ class FieldCtx:
     Construct through field_create, which caches one context per (p, n);
     context identity is object identity.  Iterating a context yields all
     q elements in ascending code order.
+
+    Arithmetic on integer codes lives here, chosen once for the kind of
+    field, and Fel's operators call it: add, sub, neg and mul take and
+    return codes, as do inv of a nonzero code and pow of a nonzero code
+    to an exponent in [0, q - 1).  Prime fields add and multiply mod p.
+    In characteristic 2 codes add by XOR.  Extensions with tables
+    multiply through discrete logarithms, and in odd characteristic
+    they add through Zech logarithms.  Every field with tables inverts
+    and raises to powers through them.  Whatever is left runs on the
+    packed kernel, apart from inverses and powers in prime fields,
+    which Python's pow computes.  scale(c, xs) is the list of c x for
+    the codes x in xs.  lazy is (add, scale, reduce) for sums of
+    products: in a prime field they are integer operations and reduce
+    takes their result mod p once at the end; elsewhere they are the
+    operations above and reduce is None.
     """
 
     def __init__(self, p, n):
@@ -452,9 +434,12 @@ class FieldCtx:
         self._kernel = _Packed(p, self.defining)
         if self.q <= INTERN_BOUND:
             self._intern()
+            self._by_key = self.elements.__getitem__
         else:
+            self._by_key = functools.partial(Fel, self)
             self.zero = Fel(self, 0)
             self.one = Fel(self, 1)
+        self._code_ops()
         self.gen = self.from_key(p) if n > 1 else None
 
     def _intern(self):
@@ -465,12 +450,12 @@ class FieldCtx:
         q = self.q
         kernel = self._kernel
         prim = kernel.primitive()
-        exp = [None] * (q - 1)
+        exp = [0] * (q - 1)
         log = [0] * q
         for i, key in enumerate(kernel.powers(prim)):
-            exp[i] = els[key]
             # the int objects of the element codes serve as table
-            # entries too, so each table costs one pointer per element
+            # entries, so each table costs one pointer per element
+            exp[i] = els[key].key
             log[key] = els[i].key
         self._exp = exp
         self._log = log
@@ -480,32 +465,85 @@ class FieldCtx:
             # so a + b = a (1 + b/a) costs table lookups, not vector sums
             p = self.p
             zech = [-1] * (q - 1)
-            for k, a in enumerate(exp):
-                key = a.key
+            for k, key in enumerate(exp):
                 plus_one = key + 1 if key % p != p - 1 else key + 1 - p
                 if plus_one:
                     zech[k] = log[plus_one]
             self._zech = zech
 
-    def _neg_key(self, k):
-        # -1 = g^((q-1)/2), q odd
-        if not k:
-            return k
-        m = self.q - 1
-        return self._exp[(self._log[k] + m // 2) % m].key
+    def _code_ops(self):
+        p, q, m = self.p, self.q, self.q - 1
+        exp, log, kernel = self._exp, self._log, self._kernel
+        pack, code, product = kernel.pack, kernel.code, kernel.product
+        # logarithms below 2m index the q - 1 powers as they are:
+        # exp[e - m] wraps round to exp[e] when e < m
+        if exp is not None:
+            self.inv = lambda a: exp[-log[a]]
+            self.pow = lambda a, e: exp[log[a] * e % m]
+        elif self.n == 1:
+            self.inv = lambda a: pow(a, -1, p)
+            self.pow = lambda a, e: pow(a, e, p)
+        else:
+            self.inv = lambda a: code(kernel.pow(pack(a), q - 2))
+            self.pow = lambda a, e: code(kernel.pow(pack(a), e))
+        if self.n == 1:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self.scale = lambda c, xs: [c * x % p for x in xs]
+            self.lazy = (operator.add, lambda c, xs: [c * x for x in xs],
+                         p.__rmod__)
+            return
+        if exp is not None:
+            def mul(a, b):
+                return exp[log[a] + log[b] - m] if a and b else 0
 
-    def _zech_add(self, ka, kb):
-        if not ka:
-            return self.elements[kb]
-        if not kb:
-            return self.elements[ka]
-        log = self._log
-        m = self.q - 1
-        la = log[ka]
-        z = self._zech[(log[kb] - la) % m]
-        if z < 0:
-            return self.zero
-        return self._exp[(la + z) % m]
+            def scale(c, xs):
+                if not c:
+                    return [0] * len(xs)
+                lc = log[c] - m
+                return [exp[lc + log[x]] if x else 0 for x in xs]
+        else:
+            def mul(a, b):
+                return code(product(pack(a), pack(b)))
+
+            def scale(c, xs):
+                pc = pack(c)
+                return [code(product(pc, pack(x))) for x in xs]
+        if p == 2:
+            add = sub = operator.xor
+            neg = operator.pos
+        elif exp is not None:
+            zech, half = self._zech, m // 2
+
+            def neg(a):
+                # -1 is g^(m/2)
+                return exp[log[a] + half - m] if a else 0
+
+            def add(a, b):
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                z = zech[log[b] - la]
+                return exp[la + z - m] if z >= 0 else 0
+
+            def sub(a, b):
+                return add(a, neg(b))
+        else:
+            def add(a, b):
+                return code(pack(a) + pack(b))
+
+            def sub(a, b):
+                return code(pack(a) + (p - 1) * pack(b))
+
+            def neg(a):
+                return code((p - 1) * pack(a))
+        self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.scale = scale
+        self.lazy = (add, scale, None)
 
     @property
     def primitive(self):
@@ -513,12 +551,6 @@ class FieldCtx:
         if self._primitive is None:
             self._primitive = self.from_key(self._kernel.primitive())
         return self._primitive
-
-    def _by_key(self, k):
-        els = self.elements
-        if els is not None:
-            return els[k]
-        return Fel(self, k)
 
     def scalar(self, m):
         """The constant m, reduced mod p."""

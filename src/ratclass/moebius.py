@@ -6,13 +6,15 @@ requirement this makes each group element a unique value, so sets of
 them deduplicate correctly.  The module also provides the two-sided pair
 action (B, A) . R = B(R(A^{-1}(x))) on rational expressions, cross-ratios
 of four projective points, and the order-6 group S acting on cross-ratio
-values by lam -> 1/lam and lam -> 1 - lam.
+values by lam -> 1/lam and lam -> 1 - lam.  The action computes on
+integer element codes with the field's code arithmetic and makes each
+output coefficient an element once.
 """
 
 from __future__ import annotations
 
 from .ffield import Fel, check_desk_scale
-from .poly import Poly, _mk, _trim
+from .poly import Poly, _mk
 from .ratexpr import INF, RatExpr, _normalized, proj_key
 
 
@@ -177,84 +179,85 @@ def pair_identity(ctx):
 
 
 def _substitute(R, a, b, c, d):
-    """Coefficient lists of the numerator and denominator of
-    R((ax+b)/(cx+d)), homogenized at weight r = deg R: each side is
-    sum_i f_i (ax+b)^i (cx+d)^(r-i).
+    """Coefficient codes of the numerator and denominator of
+    R((ax+b)/(cx+d)), a, b, c, d given as codes, homogenized at weight
+    r = deg R: each side is sum_i f_i (ax+b)^i (cx+d)^(r-i).
 
-    The r+1 basis forms are built once and serve both sides.
+    Each side is evaluated by Horner's rule in ax+b, with the powers of
+    cx+d built once for both; the sums of products run on the field's
+    lazy code operations.
     """
-    ctx = R.ctx
+    add, scale, reduce = R.ctx.lazy
     r = R.degree
-    zero = ctx.zero
-    npow = [[ctx.one]]
-    dpow = [[ctx.one]]
+    dpow = [[1]]
     for _ in range(r):
-        npow.append(_product(npow[-1], (b, a), zero))
-        dpow.append(_product(dpow[-1], (d, c), zero))
-    num = [zero] * (r + 1)
-    den = [zero] * (r + 1)
-    for i in range(r + 1):
-        fn = R.num.coeff(i)
-        fd = R.den.coeff(i)
-        if not (fn.key or fd.key):
-            continue
-        basis = _product(npow[i], dpow[r - i], zero)
-        for k, e in enumerate(basis):
-            if e.key:
-                if fn.key:
-                    num[k] = num[k] + fn * e
-                if fd.key:
-                    den[k] = den[k] + fd * e
-    return num, den
-
-
-def _product(f, g, zero):
-    """The product of two coefficient lists."""
-    out = [zero] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi.key:
-            for j, gj in enumerate(g):
-                if gj.key:
-                    out[i + j] = out[i + j] + fi * gj
+        dpow.append(_times_linear(dpow[-1], d, c, add, scale))
+    out = []
+    for f in R.key:
+        f = f + (0,) * (r + 1 - len(f))
+        h = [f[r]]
+        for i in range(r - 1, -1, -1):
+            h = _times_linear(h, b, a, add, scale)
+            if f[i]:
+                h = list(map(add, h, scale(f[i], dpow[r - i])))
+        out.append(list(map(reduce, h)) if reduce is not None else h)
     return out
+
+
+def _times_linear(f, b, a, add, scale):
+    """The codes of f times a x + b."""
+    return list(map(add, scale(b, f + [0]), scale(a, [0] + f)))
 
 
 def _fold(B, num, den):
     """(B.a num + B.b den) / (B.c num + B.d den) with a monic denominator.
 
-    num and den are coefficient lists of a coprime pair that is not
-    constant; an invertible B keeps the pair coprime, so only the
-    leading coefficient of the denominator is divided out.
+    num and den are code lists of a coprime pair that is not constant;
+    an invertible B keeps the pair coprime, so only the leading
+    coefficient of the denominator is divided out.
     """
     ctx = B.ctx
-    zero = ctx.zero
-    ba, bb, bc, bd = B.a, B.b, B.c, B.d
-    n2 = []
-    d2 = []
-    for k in range(max(len(num), len(den))):
-        fn = num[k] if k < len(num) else zero
-        fd = den[k] if k < len(den) else zero
-        n2.append(ba * fn + bb * fd)
-        d2.append(bc * fn + bd * fd)
+    add, scale, reduce = ctx.lazy
+    ba, bb, bc, bd = B.key
+    width = max(len(num), len(den))
+    num = list(num) + [0] * (width - len(num))
+    den = list(den) + [0] * (width - len(den))
+    n2 = list(map(add, scale(ba, num), scale(bb, den)))
+    d2 = list(map(add, scale(bc, num), scale(bd, den)))
+    if reduce is not None:
+        n2 = list(map(reduce, n2))
+        d2 = list(map(reduce, d2))
     return _monic_over(ctx, n2, d2)
 
 
 def _monic_over(ctx, num, den):
-    """The expression of a coprime pair of coefficient lists, with the
-    denominator made monic and no gcd taken."""
-    num = _trim(num)
-    den = _trim(den)
+    """The expression of a coprime pair of code lists, with the
+    denominator made monic and no gcd taken; each coefficient is made
+    an element once, here."""
+    num = _trimmed(num)
+    den = _trimmed(den)
     lc = den[-1]
-    if lc.key != 1:
-        inv = lc.inverse()
-        num = [c * inv for c in num]
-        den = [c * inv for c in den]
-    return _normalized(_mk(ctx, num), _mk(ctx, den))
+    if lc != 1:
+        inv = ctx.inv(lc)
+        num = ctx.scale(inv, num)
+        den = ctx.scale(inv, den)
+    num = tuple(num)
+    den = tuple(den)
+    wrap = ctx._by_key
+    return _normalized(_mk(ctx, map(wrap, num)), _mk(ctx, map(wrap, den)),
+                       (num, den))
+
+
+def _trimmed(codes):
+    """A code list without its trailing zeros."""
+    while not codes[-1]:
+        codes = codes[:-1]
+    return codes
 
 
 def post(B, S):
     """B composed after the expression S, that is B(S(x))."""
-    return _fold(B, S.num.coeffs, S.den.coeffs)
+    return _fold(B, *S.key)
 
 
 def solve_post(S, T):
@@ -291,7 +294,7 @@ def solve_post(S, T):
 
 def precompose(R, M):
     """R composed with M, that is R(M(x)); coprime as in act."""
-    return _monic_over(R.ctx, *_substitute(R, M.a, M.b, M.c, M.d))
+    return _monic_over(R.ctx, *_substitute(R, *M.key))
 
 
 def act(pair, R):
@@ -307,8 +310,13 @@ def act(pair, R):
         raise ValueError("the action is defined on nonconstant expressions")
     if pair.ctx is not R.ctx:
         raise TypeError("pair and expression over different fields")
-    A = pair.A
-    return _fold(pair.B, *_substitute(R, A.d, -A.b, -A.c, A.a))
+    return _fold(pair.B, *_substitute(R, *_inverse_key(pair.A)))
+
+
+def _inverse_key(A):
+    """Codes of (d, -b, -c, a), the inverse of A up to a scale."""
+    neg = A.ctx.neg
+    return A.d.key, neg(A.b.key), neg(A.c.key), A.a.key
 
 
 def enumerate_pgl2(ctx):
@@ -348,7 +356,7 @@ def pair_scan(R, T):
     too large to enumerate.
     """
     for A in _pgl2(R.ctx):
-        S = _monic_over(R.ctx, *_substitute(R, A.d, -A.b, -A.c, A.a))
+        S = _monic_over(R.ctx, *_substitute(R, *_inverse_key(A)))
         B = solve_post(S, T)
         if B is not None:
             yield PairAction(B, A)

@@ -7,7 +7,11 @@ partitions the full set of quadratics or cubics over a small field into
 classes, and verifies the partition against closed-form counts.  A
 post-orbit is the set of expressions of one pencil <num, den>, so the
 partition classifies one expression per basepoint-free pencil and
-checks a witness composed from it on every other member.
+checks a witness composed from it on every other member.  FourPoint
+labels can merge classes, so their buckets are split on pencils: the
+class of a pencil is the set of pencils its precompositions span, and
+its least member is read off each pencil's echelon basis.  orbit_of,
+which lists an orbit's members, is the oracle for that split.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import itertools
 
 from .classify import CASES, Witness, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import PairAction, enumerate_pgl2, pair_scan, post, precompose
+from .moebius import (PairAction, _monic_over, _trimmed, enumerate_pgl2,
+                      pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
 from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
@@ -161,6 +166,74 @@ def _label_sort_key(label):
             tuple((k, _param_sort_key(v)) for k, v in label.params))
 
 
+def _pencil_key(ctx, num, den, r):
+    """The key of the _pencils representative of <num, den>, given as
+    code lists of degree at most r: the reduced echelon basis with the
+    columns read from x^r down."""
+    sub, scale, inv = ctx.sub, ctx.scale, ctx.inv
+    u, v = (list(w) + [0] * (r + 1 - len(w)) for w in (num, den))
+    if not u[r]:
+        u, v = v, u
+    f = scale(inv(u[r]), u)
+    g = _trimmed(list(map(sub, v, scale(v[r], f))))
+    g = scale(inv(g[-1]), g)
+    s = len(g) - 1
+    f = list(map(sub, f, scale(f[s], g))) + f[s + 1:]
+    return tuple(f), tuple(g)
+
+
+def _least_member(R):
+    """The least-key expression of R's pencil, found without listing
+    the pencil.
+
+    Keys compare the numerator's codes from x^0 up first.  In the
+    reduced echelon basis u1, u2 of the pencil with the columns read
+    from x^0 up, pivots i < j scaled to 1, every vector off the line of
+    u2 is nonzero at i, where u2 is zero, and b u2 holds b at j; so u2
+    is the least numerator.  The denominators that go with it are the
+    monic vectors of the other q lines, those of u1 + t u2.
+    """
+    ctx = R.ctx
+    add, sub, scale, inv = ctx.add, ctx.sub, ctx.scale, ctx.inv
+    r = R.degree
+    u, v = (list(w) + [0] * (r + 1 - len(w)) for w in R.key)
+    i = next(k for k in range(r + 1) if u[k] or v[k])
+    if not u[i]:
+        u, v = v, u
+    u1 = scale(inv(u[i]), u)
+    w = list(map(sub, v, scale(v[i], u1)))
+    u2 = scale(inv(next(c for c in w if c)), w)
+    best = None
+    for t in range(ctx.q):
+        den = _trimmed(list(map(add, u1, scale(t, u2))))
+        den = scale(inv(den[-1]), den)
+        if best is None or den < best:
+            best = den
+    return _monic_over(ctx, u2, best)
+
+
+def _pencil_orbits(pencils, group):
+    """Split pencils, a dict from _pencils keys to representatives that
+    share one invariant bucket, into classes.
+
+    The class of a pencil P is the union of the pencils of P(A(x)) over
+    A in the group, so one precomposition per group element finds its
+    pencils, and the class holds q^3 - q expressions per pencil.  Yields
+    (least member, size) per class.
+    """
+    remaining = dict(pencils)
+    while remaining:
+        seed = next(iter(remaining.values()))
+        ctx, r = seed.ctx, seed.degree
+        orb = {_pencil_key(ctx, *precompose(seed, A).key, r) for A in group}
+        if not orb <= remaining.keys():
+            raise AssertionError("orbit of %s leaks out of its invariant "
+                                 "bucket" % (seed,))
+        rep = min((_least_member(remaining.pop(k)) for k in orb),
+                  key=lambda R: R.key)
+        yield rep, len(orb) * len(group)
+
+
 def all_classes(ctx, degree):
     """Partition every degree-2 or degree-3 expression into classes.
 
@@ -171,9 +244,11 @@ def all_classes(ctx, degree):
     (B0, A0) maps R onto T, then (B0 B^-1, A0) maps B(R) onto T, and
     Witness re-checks that pair by one act.  Every member of a
     non-FourPoint bucket is thus proved to lie in the single class of
-    its label, and the bucket keeps only a count.  FourPoint members
-    are listed, and their buckets are split into orbits by orbit_of, so
-    merged invariants cannot hide distinct classes.
+    its label, and the bucket keeps only a count.  A FourPoint bucket
+    keeps its pencils and is split into the orbits of precomposition
+    on pencils (_pencil_orbits), so merged invariants cannot hide
+    distinct classes; a class is represented by its least member,
+    read off each pencil's echelon basis (_least_member).
     """
     if degree not in (2, 3):
         raise ValueError("class partitions cover degrees 2 and 3 only")
@@ -187,7 +262,7 @@ def all_classes(ctx, degree):
     for R in _pencils(ctx, degree):
         label, witness = classify(R)
         if label.case == "FourPoint":
-            buckets.setdefault(label, []).extend(post(E, R) for E in group)
+            buckets.setdefault(label, {})[R.key] = R
             continue
         R0 = post(witness.B, R)
         A0, T = witness.A, witness.target
@@ -200,17 +275,8 @@ def all_classes(ctx, degree):
         if label in counts:
             found = [(canonical_rep(label, ctx), counts[label])]
         else:
-            found = []
-            remaining = set(buckets[label])
-            while remaining:
-                seed = min(remaining, key=lambda R: R.key)
-                orb = orbit_of(seed)
-                if not orb <= remaining:
-                    raise AssertionError(
-                        "orbit of %s leaks out of its invariant bucket"
-                        % (seed,))
-                remaining -= orb
-                found.append((min(orb, key=lambda R: R.key), len(orb)))
+            found = sorted(_pencil_orbits(buckets[label], group),
+                           key=lambda c: c[0].key)
         for rep, size in found:
             if group_sq % size:
                 raise AssertionError(

@@ -146,13 +146,14 @@ class RatExpr:
         return "RatExpr(%s, %s)" % (self.ctx.name, self)
 
 
-def _normalized(num, den):
-    """RatExpr from a coprime pair with monic den, trusted as is."""
+def _normalized(num, den, key=None):
+    """RatExpr from a coprime pair with monic den, trusted as is; key,
+    when given, is the pair's coefficient codes."""
     rx = RatExpr.__new__(RatExpr)
     rx.ctx = num.ctx
     rx.num = num
     rx.den = den
-    rx._key = None
+    rx._key = key
     return rx
 
 

@@ -319,7 +319,7 @@ def test_tables_match_coefficient_vector_walk():
         ctx = ff.field_create(p, n)
         prim, exp, log, zech = walk_tables(ctx)
         assert ctx.primitive.key == prim, ctx
-        assert [a.key for a in ctx._exp] == exp, ctx
+        assert ctx._exp == exp, ctx
         assert ctx._log == log, ctx
         assert ctx._zech == zech, ctx
     # beyond the intern bound the primitive comes from the same kernel

@@ -223,6 +223,91 @@ def test_act_matches_gcd_normalizing_chain():
                     == compose_chain(R, A.as_ratexpr()).key
 
 
+def fel_substitute(R, a, b, c, d):
+    """R((ax+b)/(cx+d)) homogenized at weight deg R, as two coefficient
+    lists of elements: the pair action's substitution as it ran on Fel
+    objects, the reference for the code kernel."""
+    ctx = R.ctx
+    r = R.degree
+    zero = ctx.zero
+    npow = [[ctx.one]]
+    dpow = [[ctx.one]]
+    for _ in range(r):
+        npow.append(fel_product(npow[-1], (b, a), zero))
+        dpow.append(fel_product(dpow[-1], (d, c), zero))
+    num = [zero] * (r + 1)
+    den = [zero] * (r + 1)
+    for i in range(r + 1):
+        fn = R.num.coeff(i)
+        fd = R.den.coeff(i)
+        basis = fel_product(npow[i], dpow[r - i], zero)
+        for k, e in enumerate(basis):
+            num[k] = num[k] + fn * e
+            den[k] = den[k] + fd * e
+    return num, den
+
+
+def fel_product(f, g, zero):
+    out = [zero] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] = out[i + j] + fi * gj
+    return out
+
+
+def fel_fold(B, num, den):
+    """B applied to the pair (num, den), denominator made monic."""
+    zero = B.ctx.zero
+    width = max(len(num), len(den))
+    num = list(num) + [zero] * (width - len(num))
+    den = list(den) + [zero] * (width - len(den))
+    return fel_monic(B.ctx, [B.a * u + B.b * v for u, v in zip(num, den)],
+                     [B.c * u + B.d * v for u, v in zip(num, den)])
+
+
+def fel_monic(ctx, num, den):
+    num = rx.Poly(ctx, num)
+    den = rx.Poly(ctx, den)
+    inv = den.coeffs[-1].inverse()
+    return rx._normalized(num * inv, den * inv)
+
+
+REFERENCE_FIELDS = ((2, 1), (5, 1), (101, 1), (2, 2), (2, 6), (3, 2),
+                    (3, 3), (3, 9), (101, 2), (2, 18))
+
+
+def test_code_kernel_matches_fel_reference():
+    # act, post and precompose compute on element codes with the
+    # arithmetic each kind of field chose: prime, characteristic 2 and
+    # Zech tables, and the packed kernel beyond the tables
+    rng = random.Random(17)
+    kinds = set()
+    for p, n in REFERENCE_FIELDS:
+        ctx = ff.field_create(p, n)
+        kinds.add((n == 1, p == 2, ctx.elements is not None))
+        for degree in (1, 2, 3):
+            for _ in range(12 if ctx.q < 1000 else 4):
+                R = _random_expr(rng, ctx, degree)
+                B = _random_moebius(rng, ctx)
+                A = _random_moebius(rng, ctx)
+                Ai = A.inverse()
+                cases = (
+                    (mb.act(mb.PairAction(B, A), R),
+                     fel_fold(B, *fel_substitute(R, Ai.a, Ai.b, Ai.c,
+                                                 Ai.d))),
+                    (mb.post(B, R), fel_fold(B, R.num.coeffs,
+                                             R.den.coeffs)),
+                    (mb.precompose(R, A),
+                     fel_monic(ctx, *fel_substitute(R, A.a, A.b, A.c,
+                                                    A.d))))
+                for got, want in cases:
+                    assert got.key == want.key, (ctx.name, str(R), B, A)
+                    assert str(got) == str(want)
+                    assert got.num.coeffs == want.num.coeffs
+                    assert got.den.coeffs == want.den.coeffs
+    assert len(kinds) == 6
+
+
 def probe_post(S, T):
     """The B with B(S(x)) = T(x) found from values, or None: evaluate
     S and T at points of P^1 over an extension with at least 2 deg S + 1

@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 
 import pytest
 
@@ -25,6 +26,12 @@ GROUP_SQ = {q: (q ** 3 - q) ** 2 for q in (2, 3, 5, 7)}
 @pytest.fixture(scope="module")
 def f3_cubic():
     return ob.all_classes(F3, 3)
+
+
+@pytest.fixture(scope="module")
+def f7_cubic():
+    # about 8 s and 17 MB
+    return ob.all_classes(F7, 3)
 
 
 def test_coprime_pair_count_matches_formula():
@@ -254,11 +261,90 @@ def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
             calls["act"] += 1
         return act(pair, R)
 
+    def counted_post(B, S):
+        calls["post"] += 1
+        return post(B, S)
+
+    def counted_orbit_of(R):
+        calls["orbit_of"] += 1
+        return orbit_of(R)
+
+    # FourPoint buckets are split on pencils, so none of their 1152
+    # members is composed: one post per non-FourPoint pencil and one
+    # per member
+    calls.update(post=0, orbit_of=0)
+    post, orbit_of = ob.post, ob.orbit_of
     monkeypatch.setattr(ob, "classify", counted_classify)
     monkeypatch.setattr(cl, "act", counted_act)
+    monkeypatch.setattr(ob, "post", counted_post)
+    monkeypatch.setattr(ob, "orbit_of", counted_orbit_of)
     report = ob.all_classes(F3, 3)
     assert report.total == 1944
-    assert calls == {"classify": 81, "act": 792}
+    assert calls == {"classify": 81, "act": 792, "post": 33 + 792,
+                     "orbit_of": 0}
+
+
+def test_pencil_key_matches_echelon_oracle():
+    rng = random.Random(5)
+    for ctx in (F2, F3, F4, F5, F7):
+        for degree in (2, 3):
+            pool = list(ob._pencils(ctx, degree))
+            group = mb.enumerate_pgl2(ctx)
+            for _ in range(30):
+                S = mb.act(mb.PairAction(rng.choice(group), rng.choice(group)),
+                           rng.choice(pool))
+                assert ob._pencil_key(ctx, *S.key, degree) \
+                    == pencil_rep(S).key, str(S)
+
+
+def test_least_member_matches_pencil_scan():
+    # the least member of a pencil read off its echelon basis, against
+    # the least of the q^3 - q expressions B(R); from the pencil's
+    # representative and from another member
+    four = [R for R in ob._pencils(F3, 3)
+            if cl.classify(R)[0].case == "FourPoint"]
+    assert len(four) == 48
+    rng = random.Random(11)
+    seeded = [(R, 20) for R in four]
+    for ctx in (F5, F7):
+        for degree in (2, 3):
+            pool = list(ob._pencils(ctx, degree))
+            seeded += [(R, 2) for R in rng.sample(pool, 15)]
+    for R, tries in seeded:
+        group = mb.enumerate_pgl2(R.ctx)
+        want = min((mb.post(B, R) for B in group), key=lambda S: S.key)
+        for B in [mb.identity(R.ctx)] + rng.sample(group, tries):
+            got = ob._least_member(mb.post(B, R))
+            assert got.key == want.key and str(got) == str(want), str(R)
+
+
+def four_point_classes_match_orbits(report):
+    """Each FourPoint class's size and least representative against
+    orbit_of of that representative."""
+    for c in report.classes:
+        if c["label"].case == "FourPoint":
+            orb = ob.orbit_of(c["representative"])
+            assert len(orb) == c["size"], str(c["representative"])
+            assert min(orb, key=lambda R: R.key) == c["representative"]
+
+
+def test_f5_four_point_classes_match_orbits():
+    four_point_classes_match_orbits(ob.all_classes(F5, 3))
+
+
+def test_f7_cubic_partition(f7_cubic):
+    report = f7_cubic
+    assert report.total == 806736 and report.class_count == 16
+    four = [c for c in report.classes if c["label"].case == "FourPoint"]
+    # labels are not classes over F_7: two classes share one label
+    assert len(four) == 12 and len({c["label"] for c in four}) == 11
+    shared = [c for c in four if c["label"].param("pattern") == (1, 3)
+              and c["label"].param("lambda").key == 3
+              and c["label"].param("mu").key == 5]
+    assert [c["label"].param("lambda").ctx.q for c in shared] == [343, 343]
+    assert [(c["size"], str(c["representative"])) for c in shared] \
+        == [(37632, "x^2/(x^3+1)"), (37632, "x^2/(x^3+2)")]
+    four_point_classes_match_orbits(report)
 
 
 def test_all_classes_f2_quad():
