@@ -210,15 +210,20 @@ def _times_linear(f, b, a, add, scale):
 
 
 def _fold(B, num, den):
-    """(B.a num + B.b den) / (B.c num + B.d den) with a monic denominator.
+    """(B.a num + B.b den) / (B.c num + B.d den) with a monic denominator."""
+    return _from_key(B.ctx, _fold_key(B.ctx, B.key, num, den))
+
+
+def _fold_key(ctx, codes, num, den):
+    """The key of _fold for a B given by the codes of (a, b, c, d).
 
     num and den are code lists of a coprime pair that is not constant;
     an invertible B keeps the pair coprime, so only the leading
-    coefficient of the denominator is divided out.
+    coefficient of the denominator is divided out, and any scalar
+    multiple of B's codes gives the same key.
     """
-    ctx = B.ctx
     add, scale, reduce = ctx.lazy
-    ba, bb, bc, bd = B.key
+    ba, bb, bc, bd = codes
     width = max(len(num), len(den))
     num = list(num) + [0] * (width - len(num))
     den = list(den) + [0] * (width - len(den))
@@ -227,13 +232,18 @@ def _fold(B, num, den):
     if reduce is not None:
         n2 = list(map(reduce, n2))
         d2 = list(map(reduce, d2))
-    return _monic_over(ctx, n2, d2)
+    return _monic_key(ctx, n2, d2)
 
 
 def _monic_over(ctx, num, den):
     """The expression of a coprime pair of code lists, with the
-    denominator made monic and no gcd taken; each coefficient is made
-    an element once, here."""
+    denominator made monic and no gcd taken."""
+    return _from_key(ctx, _monic_key(ctx, num, den))
+
+
+def _monic_key(ctx, num, den):
+    """The key of _monic_over: both code lists trimmed, then divided by
+    the denominator's leading coefficient."""
     num = _trimmed(num)
     den = _trimmed(den)
     lc = den[-1]
@@ -241,11 +251,16 @@ def _monic_over(ctx, num, den):
         inv = ctx.inv(lc)
         num = ctx.scale(inv, num)
         den = ctx.scale(inv, den)
-    num = tuple(num)
-    den = tuple(den)
+    return tuple(num), tuple(den)
+
+
+def _from_key(ctx, key):
+    """The expression with the normalized key (num codes, den codes);
+    each coefficient is made an element once, here."""
     wrap = ctx._by_key
+    num, den = key
     return _normalized(_mk(ctx, map(wrap, num)), _mk(ctx, map(wrap, den)),
-                       (num, den))
+                       key)
 
 
 def _trimmed(codes):

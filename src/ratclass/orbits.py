@@ -7,7 +7,7 @@ partitions the full set of quadratics or cubics over a small field into
 classes, and verifies the partition against closed-form counts.  A
 post-orbit is the set of expressions of one pencil <num, den>, so the
 partition classifies one expression per basepoint-free pencil and
-checks a witness composed from it on every other member.  FourPoint
+checks every other member's witness equation on element codes.  FourPoint
 labels can merge classes, so their buckets are split on pencils: the
 class of a pencil is the set of pencils its precompositions span, and
 its least member is read off each pencil's echelon basis.  orbit_of,
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 
-from .classify import CASES, Witness, canonical_rep, classify, label_json
+from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import (PairAction, _monic_over, _trimmed, enumerate_pgl2,
-                      pair_scan, post, precompose)
+from .moebius import (_fold_key, _inverse_key, _monic_over, _trimmed,
+                      enumerate_pgl2, pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
 from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
@@ -240,9 +240,13 @@ def all_classes(ctx, degree):
     Each expression is B(R) for exactly one pencil representative R
     (_pencils) and one B in PGL_2, and all of a pencil's members share
     R's class, so R alone is classified.  A non-FourPoint member still
-    gets a verified witness onto the canonical representative T: if
-    (B0, A0) maps R onto T, then (B0 B^-1, A0) maps B(R) onto T, and
-    Witness re-checks that pair by one act.  Every member of a
+    gets its witness onto the canonical representative T checked: if
+    (B0, A0) maps R onto T, then (E^-1, A0) maps the member
+    M = E(B0(R)) onto T, which is the equation E^-1(M) = T(A0).  T(A0)
+    is computed once per pencil; each member M is built and folded
+    back by E^-1 on integer codes (moebius._fold_key), with no
+    substitution and no element made, and must give T(A0)'s key, or
+    AssertionError names the pencil and E.  Every member of a
     non-FourPoint bucket is thus proved to lie in the single class of
     its label, and the bucket keeps only a count.  A FourPoint bucket
     keeps its pencils and is split into the orbits of precomposition
@@ -254,9 +258,9 @@ def all_classes(ctx, degree):
         raise ValueError("class partitions cover degrees 2 and 3 only")
     total_expected = _check_scale(ctx, degree)
     group = enumerate_pgl2(ctx)
-    # with E = B B0^-1 the member B(R) is E(B0(R)) and its pair is
-    # (E^-1, A0); E runs over the group as B does
-    inverses = [E.inverse() for E in group]
+    # each E with the codes of its inverse up to a scale, which the
+    # monic denominator absorbs
+    codes = [(E, E.key, _inverse_key(E)) for E in group]
     counts = {}
     buckets = {}
     for R in _pencils(ctx, degree):
@@ -264,10 +268,14 @@ def all_classes(ctx, degree):
         if label.case == "FourPoint":
             buckets.setdefault(label, {})[R.key] = R
             continue
-        R0 = post(witness.B, R)
-        A0, T = witness.A, witness.target
-        for E, E_inv in zip(group, inverses):
-            Witness(PairAction(E_inv, A0), post(E, R0), T)
+        R0 = _fold_key(ctx, witness.B.key, *R.key)
+        TA = precompose(witness.target, witness.A).key
+        for E, e, e_inv in codes:
+            M = _fold_key(ctx, e, *R0)
+            if _fold_key(ctx, e_inv, *M) != TA:
+                raise AssertionError(
+                    "pencil of %s: the member under %r fails its witness"
+                    % (R, E))
         counts[label] = counts.get(label, 0) + len(group)
     group_sq = len(group) ** 2
     classes = []

@@ -305,6 +305,15 @@ def test_code_kernel_matches_fel_reference():
                     assert str(got) == str(want)
                     assert got.num.coeffs == want.num.coeffs
                     assert got.den.coeffs == want.den.coeffs
+                # the code-level steps return the keys of the wrapped
+                # ones, and the fold takes B's codes up to a scale
+                assert mb._fold_key(ctx, B.key, *R.key) \
+                    == mb.post(B, R).key == cases[1][1].key
+                assert mb._fold_key(ctx, mb._inverse_key(A), *R.key) \
+                    == mb.post(Ai, R).key
+                codes = mb._substitute(R, *A.key)
+                assert mb._monic_key(ctx, *codes) \
+                    == mb._monic_over(ctx, *codes).key == cases[2][1].key
     assert len(kinds) == 6
 
 

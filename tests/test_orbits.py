@@ -30,7 +30,7 @@ def f3_cubic():
 
 @pytest.fixture(scope="module")
 def f7_cubic():
-    # about 8 s and 17 MB
+    # about 3 s and 17 MB
     return ob.all_classes(F7, 3)
 
 
@@ -241,12 +241,16 @@ def test_all_classes_matches_expression_oracle(ctx, degree):
 
 
 def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
-    # over F_3 one classify per pencil: 1944 cubics / 24 members = 81;
-    # and one verifying act outside classify per member of the 33
-    # non-FourPoint pencils, 1944 - 1152 FourPoint members = 792
-    calls = {"classify": 0, "act": 0}
+    # over F_3 one classify per pencil: 1944 cubics / 24 members = 81.
+    # Each of the 33 non-FourPoint pencils folds its representative R
+    # by B0 once, then builds every member M = E(B0(R)) and folds it
+    # back by E^-1 onto T(A0): two folds per member, 1944 - 1152
+    # FourPoint members = 792, and no act outside classify
+    calls = {"classify": 0, "act": 0, "orbit_of": 0}
+    folds = []
     inside = []
     classify, act = ob.classify, cl.act
+    fold_key, orbit_of = ob._fold_key, ob.orbit_of
 
     def counted_classify(R):
         calls["classify"] += 1
@@ -261,27 +265,67 @@ def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
             calls["act"] += 1
         return act(pair, R)
 
-    def counted_post(B, S):
-        calls["post"] += 1
-        return post(B, S)
+    def counted_fold_key(ctx, codes, num, den):
+        key = fold_key(ctx, codes, num, den)
+        folds.append(key)
+        return key
 
     def counted_orbit_of(R):
         calls["orbit_of"] += 1
         return orbit_of(R)
 
-    # FourPoint buckets are split on pencils, so none of their 1152
-    # members is composed: one post per non-FourPoint pencil and one
-    # per member
-    calls.update(post=0, orbit_of=0)
-    post, orbit_of = ob.post, ob.orbit_of
     monkeypatch.setattr(ob, "classify", counted_classify)
     monkeypatch.setattr(cl, "act", counted_act)
-    monkeypatch.setattr(ob, "post", counted_post)
+    monkeypatch.setattr(ob, "_fold_key", counted_fold_key)
     monkeypatch.setattr(ob, "orbit_of", counted_orbit_of)
     report = ob.all_classes(F3, 3)
     assert report.total == 1944
-    assert calls == {"classify": 81, "act": 792, "post": 33 + 792,
-                     "orbit_of": 0}
+    assert calls == {"classify": 81, "act": 0, "orbit_of": 0}
+    # per pencil: B0(R), then (member, member folded back) per E
+    block = 1 + 2 * 24
+    assert len(folds) == 33 * block
+    members = {k for i in range(0, len(folds), block)
+               for k in folds[i + 1:i + block:2]}
+    assert len(members) == 792
+    # the members and the FourPoint classes make up every cubic
+    four = set()
+    for c in report.classes:
+        if c["label"].case == "FourPoint":
+            four |= {S.key for S in orbit_of(c["representative"])}
+    assert not members & four
+    assert members | four == {S.key for S in
+                              rx.enumerate_expressions(F3, 3)}
+
+
+@pytest.mark.parametrize("tamper", ["A", "target"])
+def test_all_classes_rejects_a_tampered_witness(monkeypatch, tamper):
+    # the first non-FourPoint pencil gets a witness whose source map or
+    # target no longer satisfies B0(R) = T(A0); the member checks on
+    # codes must catch it
+    classify = ob.classify
+    group = mb.enumerate_pgl2(F3)
+    tampered = []
+
+    def bad_classify(R):
+        label, w = classify(R)
+        if label.case == "FourPoint" or tampered:
+            return label, w
+        B, A, T = w.B, w.A, w.target
+        want = mb.post(B, R)
+        if tamper == "A":
+            A = next(E for E in group if mb.precompose(T, E) != want)
+        else:
+            T = next(mb.post(E, T) for E in group
+                     if mb.precompose(mb.post(E, T), A) != want)
+        tampered.append(R)
+        forged = object.__new__(cl.Witness)
+        forged.pair, forged.source, forged.target = mb.PairAction(B, A), R, T
+        return label, forged
+
+    monkeypatch.setattr(ob, "classify", bad_classify)
+    with pytest.raises(AssertionError, match="fails its witness"):
+        ob.all_classes(F3, 3)
+    assert len(tampered) == 1
 
 
 def test_pencil_key_matches_echelon_oracle():
@@ -338,6 +382,14 @@ def test_f7_cubic_partition(f7_cubic):
     four = [c for c in report.classes if c["label"].case == "FourPoint"]
     # labels are not classes over F_7: two classes share one label
     assert len(four) == 12 and len({c["label"] for c in four}) == 11
+    # the paper's closed forms at q = 7: (q^3 - q)^2 / (2(q - 1)),
+    # / (2(q + 1)), / 2 and / 2 with (q^3 - q)^2 = 112896, and
+    # q^2 (q + 1)^2 (q - 1)^3 FourPoint expressions in all
+    sizes = report.sizes_by_case()
+    assert sum(sizes.pop("FourPoint")) == 677376 == 7 ** 2 * 8 ** 2 * 6 ** 3
+    assert sizes == {"Cubic_X3": [9408], "Cubic_TwoPointTwist": [7056],
+                     "Cubic_Dickson": [56448],
+                     "Cubic_DicksonTwist": [56448]}
     shared = [c for c in four if c["label"].param("pattern") == (1, 3)
               and c["label"].param("lambda").key == 3
               and c["label"].param("mu").key == 5]
