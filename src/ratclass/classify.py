@@ -958,7 +958,8 @@ def are_equivalent(R, R2):
 
     The first pair of moebius.pair_scan: for each source map A, B is
     read off the pencil of R(A^{-1}(x)) by one linear solve over the
-    base field, so the scan is linear in the size of the Moebius group.
+    base field, on element codes, so the scan is linear in the size of
+    the Moebius group and builds elements only for the pair it returns.
     Raises ValueError when the group is too large to enumerate.
     """
     if R.ctx is not R2.ctx:

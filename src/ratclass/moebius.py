@@ -8,10 +8,15 @@ action (B, A) . R = B(R(A^{-1}(x))) on rational expressions, cross-ratios
 of four projective points, and the order-6 group S acting on cross-ratio
 values by lam -> 1/lam and lam -> 1 - lam.  The action computes on
 integer element codes with the field's code arithmetic and makes each
-output coefficient an element once.
+output coefficient an element once.  So does the scan of PGL_2 for the
+pairs carrying one expression onto another (pair_scan): it walks the
+group as code tuples, solves for B on codes (_solve_post_key, the step
+solve_post wraps) and makes elements only for the pairs it finds.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .ffield import Fel, check_desk_scale
 from .poly import Poly, _mk
@@ -280,31 +285,56 @@ def solve_post(S, T):
 
     B(S) = T holds exactly when T's numerator and denominator lie in
     the pencil spanned by S's, so B is read off as their coordinates
-    in that pencil: T_num = a S_num + b S_den and T_den = c S_num +
-    d S_den, solved by Cramer's rule on the first pair of coefficient
-    positions where S_num and S_den are independent, then checked at
-    every position.  The action of B on a nonconstant S is free, so the
-    B found is the only one.
+    in that pencil by _solve_post_key, on element codes; the B it
+    returns is made a Moebius here and checked to compose onto T.  The
+    action of B on a nonconstant S is free, so the B found is the only
+    one.
     """
     r = S.degree
     if r < 1 or T.degree != r:
         return None
-    sn, sd, tn, td = ([f.coeff(k) for k in range(r + 1)]
-                      for f in (S.num, S.den, T.num, T.den))
-    # a coprime nonconstant pair is independent, so some minor is nonzero
-    i, j = next((i, j) for i in range(r) for j in range(i + 1, r + 1)
-                if (sn[i] * sd[j] - sn[j] * sd[i]).key)
-    inv = (sn[i] * sd[j] - sn[j] * sd[i]).inverse()
-    a = (tn[i] * sd[j] - tn[j] * sd[i]) * inv
-    b = (sn[i] * tn[j] - sn[j] * tn[i]) * inv
-    c = (td[i] * sd[j] - td[j] * sd[i]) * inv
-    d = (sn[i] * td[j] - sn[j] * td[i]) * inv
-    for k in range(r + 1):
-        if (tn[k] != a * sn[k] + b * sd[k]
-                or td[k] != c * sn[k] + d * sd[k]):
-            return None
-    B = Moebius(S.ctx, a, b, c, d)
+    ctx = S.ctx
+    if T.ctx is not ctx:
+        raise TypeError("expressions over different fields")
+    codes = _solve_post_key(ctx, _padded(S.key, r), _padded(T.key, r), r)
+    if codes is None:
+        return None
+    B = Moebius(ctx, *map(ctx._by_key, codes))
     return B if post(B, S) == T else None
+
+
+def _solve_post_key(ctx, s, t, r):
+    """The codes (a, b, c, d) of the B with B(S) = T, or None.
+
+    s and t are the (num, den) code lists of S and T, both padded to
+    r + 1 coefficients.  T_num = a S_num + b S_den and T_den = c S_num
+    + d S_den are solved by Cramer's rule on the first pair of
+    coefficient positions where S_num and S_den are independent, then
+    checked at every position.
+    """
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    sn, sd = s
+    tn, td = t
+    # a coprime nonconstant pair is independent, so some minor is nonzero
+    for i, j in itertools.combinations(range(r + 1), 2):
+        det = sub(mul(sn[i], sd[j]), mul(sn[j], sd[i]))
+        if det:
+            break
+    inv = ctx.inv(det)
+    a = mul(sub(mul(tn[i], sd[j]), mul(tn[j], sd[i])), inv)
+    b = mul(sub(mul(sn[i], tn[j]), mul(sn[j], tn[i])), inv)
+    c = mul(sub(mul(td[i], sd[j]), mul(td[j], sd[i])), inv)
+    d = mul(sub(mul(sn[i], td[j]), mul(sn[j], td[i])), inv)
+    for k in range(r + 1):
+        if (tn[k] != add(mul(a, sn[k]), mul(b, sd[k]))
+                or td[k] != add(mul(c, sn[k]), mul(d, sd[k]))):
+            return None
+    return a, b, c, d
+
+
+def _padded(key, r):
+    """The (num, den) code lists of a key, padded to r + 1 codes."""
+    return tuple(list(w) + [0] * (r + 1 - len(w)) for w in key)
 
 
 def precompose(R, M):
@@ -340,41 +370,55 @@ def enumerate_pgl2(ctx):
 
 
 def _pgl2(ctx):
-    """All q^3 - q group elements, lazily, for scans that may stop early.
+    """All q^3 - q group elements, lazily, in _pgl2_keys order."""
+    wrap = ctx._by_key
+    return (Moebius(ctx, *map(wrap, key)) for key in _pgl2_keys(ctx))
+
+
+def _pgl2_keys(ctx):
+    """The keys of all q^3 - q group elements, lazily, for scans that
+    may stop early; raises ValueError at once when the group is too
+    large to enumerate.
 
     Normalized representatives have first row (1, b) or (0, 1); the
     (1, b) block runs first, ordered by the codes of (b, c, d), then the
     (0, 1) block ordered by (c, d).
     """
     check_desk_scale(ctx.q ** 3 - ctx.q, "elements of PGL_2(%s)" % ctx.name)
-    els = list(ctx)
-    for b in els:
-        for c in els:
-            bc = b * c
-            for d in els:
-                if d != bc:
-                    yield Moebius(ctx, ctx.one, b, c, d)
-    zero = ctx.zero
-    for c in els:
-        if c.key:
-            for d in els:
-                yield Moebius(ctx, zero, ctx.one, c, d)
+    codes = range(ctx.q)
+    mul = ctx.mul
+    return itertools.chain(
+        ((1, b, c, d) for b in codes for c in codes
+         for bc in (mul(b, c),) for d in codes if d != bc),
+        ((0, 1, c, d) for c in codes[1:] for d in codes))
 
 
 def pair_scan(R, T):
     """Every pair (B, A) with act((B, A), R) = T, by A in enumerate_pgl2
     order.
 
-    R(A^{-1}(x)) is substituted as in act but with no B folded in, and
-    B is read off its pencil by solve_post; the action of B is free, so
-    each A gives at most one pair.  Raises ValueError when the group is
-    too large to enumerate.
+    The scan runs on element codes: for each A, R(A^{-1}(x)) is
+    substituted as in act but with no B folded in, and B is read off
+    its pencil by _solve_post_key against T's codes; the action of B is
+    free, so each A gives at most one pair.  Only an A that matches is
+    made a Moebius, with its B from solve_post.  Raises ValueError when
+    the group is too large to enumerate, before anything else; an R and
+    a T of different degrees give no pair.
     """
-    for A in _pgl2(R.ctx):
-        S = _monic_over(R.ctx, *_substitute(R, *_inverse_key(A)))
-        B = solve_post(S, T)
-        if B is not None:
-            yield PairAction(B, A)
+    ctx = R.ctx
+    keys = _pgl2_keys(ctx)
+    r = R.degree
+    if r < 1 or T.degree != r:
+        return
+    if T.ctx is not ctx:
+        raise TypeError("expressions over different fields")
+    neg = ctx.neg
+    t = _padded(T.key, r)
+    for a, b, c, d in keys:
+        s = _monic_key(ctx, *_substitute(R, d, neg(b), neg(c), a))
+        if _solve_post_key(ctx, _padded(s, r), t, r) is not None:
+            B = solve_post(_from_key(ctx, s), T)
+            yield PairAction(B, Moebius(ctx, *map(ctx._by_key, (a, b, c, d))))
 
 
 def cross_ratio(x1, x2, x3, x4):

@@ -20,8 +20,9 @@ import itertools
 
 from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import (_fold_key, _inverse_key, _monic_over, _trimmed,
-                      enumerate_pgl2, pair_scan, post, precompose)
+from .moebius import (_fold_key, _inverse_key, _monic_key, _monic_over,
+                      _padded, _substitute, _trimmed, enumerate_pgl2,
+                      pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
 from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
@@ -105,8 +106,9 @@ def stabilizer_order(R):
 
     For each source-side A the target side is forced: at most one B can
     satisfy B(R(A^{-1}(x))) = R, and moebius.pair_scan reads it off the
-    pencil of R(A^{-1}(x)), so one linear solve per group element
-    decides membership.
+    pencil of R(A^{-1}(x)), so one linear solve on element codes per
+    group element decides membership; elements are made only for the
+    pairs counted.
     """
     return sum(1 for _ in pair_scan(R, R))
 
@@ -171,7 +173,7 @@ def _pencil_key(ctx, num, den, r):
     code lists of degree at most r: the reduced echelon basis with the
     columns read from x^r down."""
     sub, scale, inv = ctx.sub, ctx.scale, ctx.inv
-    u, v = (list(w) + [0] * (r + 1 - len(w)) for w in (num, den))
+    u, v = _padded((num, den), r)
     if not u[r]:
         u, v = v, u
     f = scale(inv(u[r]), u)
@@ -196,7 +198,7 @@ def _least_member(R):
     ctx = R.ctx
     add, sub, scale, inv = ctx.add, ctx.sub, ctx.scale, ctx.inv
     r = R.degree
-    u, v = (list(w) + [0] * (r + 1 - len(w)) for w in R.key)
+    u, v = _padded(R.key, r)
     i = next(k for k in range(r + 1) if u[k] or v[k])
     if not u[i]:
         u, v = v, u
@@ -225,7 +227,10 @@ def _pencil_orbits(pencils, group):
     while remaining:
         seed = next(iter(remaining.values()))
         ctx, r = seed.ctx, seed.degree
-        orb = {_pencil_key(ctx, *precompose(seed, A).key, r) for A in group}
+        # the pencil key is read off the codes of seed(A(x)) as they are
+        # substituted: the echelon basis is the same for every scale
+        orb = {_pencil_key(ctx, *_substitute(seed, *A.key), r)
+               for A in group}
         if not orb <= remaining.keys():
             raise AssertionError("orbit of %s leaks out of its invariant "
                                  "bucket" % (seed,))
@@ -269,7 +274,7 @@ def all_classes(ctx, degree):
             buckets.setdefault(label, {})[R.key] = R
             continue
         R0 = _fold_key(ctx, witness.B.key, *R.key)
-        TA = precompose(witness.target, witness.A).key
+        TA = _monic_key(ctx, *_substitute(witness.target, *witness.A.key))
         for E, e, e_inv in codes:
             M = _fold_key(ctx, e, *R0)
             if _fold_key(ctx, e_inv, *M) != TA:

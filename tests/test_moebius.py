@@ -1,11 +1,17 @@
+import importlib
 import random
 
 import pytest
 
 from ratclass import ffield as ff
 from ratclass import moebius as mb
+from ratclass import orbits as ob
 from ratclass import ratexpr as rx
 from ratclass.ratexpr import INF
+
+# the package exports the classify function under the module's name,
+# so bind the module itself explicitly
+cl = importlib.import_module("ratclass.classify")
 
 
 def compose_chain(*exprs):
@@ -272,6 +278,54 @@ def fel_monic(ctx, num, den):
     return rx._normalized(num * inv, den * inv)
 
 
+def fel_cramer(S, T):
+    """The coordinates (a, b, c, d) of T's numerator and denominator in
+    the pencil of S's, as elements, or None when T's lie outside it:
+    Cramer's rule on the first independent pair of coefficient
+    positions, checked at every position, all on Fel objects.  The
+    reference for moebius._solve_post_key."""
+    r = S.degree
+    sn, sd, tn, td = ([f.coeff(k) for k in range(r + 1)]
+                      for f in (S.num, S.den, T.num, T.den))
+    i, j = next((i, j) for i in range(r) for j in range(i + 1, r + 1)
+                if (sn[i] * sd[j] - sn[j] * sd[i]).key)
+    inv = (sn[i] * sd[j] - sn[j] * sd[i]).inverse()
+    a = (tn[i] * sd[j] - tn[j] * sd[i]) * inv
+    b = (sn[i] * tn[j] - sn[j] * tn[i]) * inv
+    c = (td[i] * sd[j] - td[j] * sd[i]) * inv
+    d = (sn[i] * td[j] - sn[j] * td[i]) * inv
+    for k in range(r + 1):
+        if (tn[k] != a * sn[k] + b * sd[k]
+                or td[k] != c * sn[k] + d * sd[k]):
+            return None
+    return a, b, c, d
+
+
+def fel_solve_post(S, T):
+    """solve_post on Fel objects: B from fel_cramer, kept when its fold
+    of S is T."""
+    if S.degree < 1 or T.degree != S.degree:
+        return None
+    coords = fel_cramer(S, T)
+    if coords is None:
+        return None
+    B = mb.Moebius(S.ctx, *coords)
+    return B if fel_fold(B, S.num.coeffs, S.den.coeffs).key == T.key \
+        else None
+
+
+def fel_pair_scan(R, T):
+    """pair_scan on Fel objects, the oracle for the scan on codes: each
+    A of enumerate_pgl2 in turn, R(A^{-1}(x)) substituted and made
+    monic on elements, and B read off by fel_solve_post."""
+    for A in mb.enumerate_pgl2(R.ctx):
+        Ai = A.inverse()
+        S = fel_monic(R.ctx, *fel_substitute(R, Ai.a, Ai.b, Ai.c, Ai.d))
+        B = fel_solve_post(S, T)
+        if B is not None:
+            yield mb.PairAction(B, A)
+
+
 REFERENCE_FIELDS = ((2, 1), (5, 1), (101, 1), (2, 2), (2, 6), (3, 2),
                     (3, 3), (3, 9), (101, 2), (2, 18))
 
@@ -349,11 +403,15 @@ def probe_post(S, T):
 
 
 def test_solve_post_matches_probe_oracle():
-    # F_2, F_3 and F_4 are too small for probes on their own line
+    # F_2, F_3 and F_4 are too small for probes on their own line; the
+    # fields cover the six kinds of code arithmetic, and the code step
+    # is checked against Cramer's rule on elements too
     rng = random.Random(6)
     fields = [ff.field_create(p, n) for p, n in
-              ((2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 14))]
-    assert fields[-1].elements is None
+              ((2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 14),
+               (3, 9))]
+    assert len({(ctx.n == 1, ctx.p == 2, ctx.elements is not None)
+                for ctx in fields}) == 6
     outcomes = set()
     for ctx in fields:
         for degree in (1, 2, 3):
@@ -362,7 +420,14 @@ def test_solve_post_matches_probe_oracle():
                 for T in (mb.post(_random_moebius(rng, ctx), S),
                           _random_expr(rng, ctx, degree)):
                     B = mb.solve_post(S, T)
-                    assert B == probe_post(S, T), (ctx.name, str(S), str(T))
+                    assert B == probe_post(S, T) == fel_solve_post(S, T), \
+                        (ctx.name, str(S), str(T))
+                    want = fel_cramer(S, T)
+                    assert mb._solve_post_key(
+                        ctx, mb._padded(S.key, degree),
+                        mb._padded(T.key, degree), degree) \
+                        == (None if want is None
+                            else tuple(v.key for v in want))
                     outcomes.add(B is None)
                     if B is not None:
                         assert mb.post(B, S) == T
@@ -403,11 +468,16 @@ def test_enumerate_pgl2():
 
 
 def test_lazy_pgl2_matches_list():
-    # pair_scan walks the lazy generator; the public list is built from
-    # it, in the same order
+    # pair_scan walks the lazy keys; the generator of elements and the
+    # public list are built from them, in the same order
     for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
         ctx = ff.field_create(p, n)
-        assert list(mb._pgl2(ctx)) == mb.enumerate_pgl2(ctx)
+        group = mb.enumerate_pgl2(ctx)
+        assert list(mb._pgl2(ctx)) == group
+        keys = list(mb._pgl2_keys(ctx))
+        assert [M.key for M in group] == keys
+        # the (1, b) block by (b, c, d), then the (0, 1) block by (c, d)
+        assert keys == sorted(keys, key=lambda k: (-k[0], k))
     # the bound still holds on both paths: |PGL_2(F_257)| > 2^24
     F257 = ff.field_create(257)
     cube = rx.expr(F257, (0, 0, 0, 1))
@@ -415,6 +485,67 @@ def test_lazy_pgl2_matches_list():
         mb.enumerate_pgl2(F257)
     with pytest.raises(ValueError):
         next(mb.pair_scan(cube, cube))
+
+
+def test_pair_scan_degree_mismatch_returns_at_once(monkeypatch):
+    F11 = ff.field_create(11)
+    sq = rx.expr(F11, (0, 0, 1))
+    cube = rx.expr(F11, (0, 0, 0, 1))
+    calls = []
+    monkeypatch.setattr(mb, "_substitute", lambda *args: calls.append(args))
+    assert list(mb.pair_scan(sq, cube)) == [] == list(mb.pair_scan(cube, sq))
+    assert calls == []
+    # codes of different fields do not mix
+    sq7 = rx.expr(ff.field_create(7), (0, 0, 1))
+    with pytest.raises(TypeError):
+        next(mb.pair_scan(sq, sq7))
+    with pytest.raises(TypeError):
+        mb.solve_post(sq, sq7)
+    # the desk-scale refusal still comes before the degree test
+    F257 = ff.field_create(257)
+    with pytest.raises(ff.ScaleLimitError):
+        next(mb.pair_scan(rx.expr(F257, (0, 0, 1)),
+                          rx.expr(F257, (0, 0, 0, 1))))
+
+
+def pair_keys(pairs):
+    return [(P.B.key, P.A.key) for P in pairs]
+
+
+def test_pair_scan_matches_fel_scan_on_small_quadratics():
+    # every quadratic over F_2 and F_3 against each class representative
+    # and against itself: the same pairs in the same order, and each
+    # quadratic reaches itself and exactly one representative
+    for ctx in (ff.field_create(2), ff.field_create(3)):
+        reps = [c["representative"] for c in ob.all_classes(ctx, 2).classes]
+        for R in rx.enumerate_expressions(ctx, 2):
+            found = 0
+            for T in reps + [R]:
+                want = pair_keys(fel_pair_scan(R, T))
+                assert pair_keys(mb.pair_scan(R, T)) == want, (str(R), str(T))
+                found += bool(want)
+            assert found == 2, str(R)
+
+
+def test_pair_scan_matches_fel_scan_on_seeded_pairs():
+    # constructed-equivalent and random pairs of quadratics and cubics,
+    # FourPoint cubics among them
+    rng = random.Random(29)
+    cases = set()
+    for p, n in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)):
+        ctx = ff.field_create(p, n)
+        for degree in (2, 3, 3):
+            R = _random_expr(rng, ctx, degree)
+            cases.add(cl.classify(R)[0].case)
+            pair = mb.PairAction(_random_moebius(rng, ctx),
+                                 _random_moebius(rng, ctx))
+            moved = mb.act(pair, R)
+            for T in (moved, _random_expr(rng, ctx, degree)):
+                got = pair_keys(mb.pair_scan(R, T))
+                assert got == pair_keys(fel_pair_scan(R, T)), \
+                    (ctx.name, str(R), str(T))
+                assert T is not moved or (pair.B.key, pair.A.key) in got
+    assert "FourPoint" in cases
 
 
 def test_cross_ratio_frozen():
