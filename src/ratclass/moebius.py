@@ -10,8 +10,10 @@ values by lam -> 1/lam and lam -> 1 - lam.  The action computes on
 integer element codes with the field's code arithmetic and makes each
 output coefficient an element once.  So does the scan of PGL_2 for the
 pairs carrying one expression onto another (pair_scan): it walks the
-group as code tuples, solves for B on codes (_solve_post_key, the step
-solve_post wraps) and makes elements only for the pairs it finds.
+group as code tuples, builds the powers of each denominator form once
+for all the maps that share it, solves for B on codes (_solve_post_key,
+the step solve_post wraps) and makes elements only for the pairs it
+finds.
 """
 
 from __future__ import annotations
@@ -188,15 +190,32 @@ def _substitute(R, a, b, c, d):
     R((ax+b)/(cx+d)), a, b, c, d given as codes, homogenized at weight
     r = deg R: each side is sum_i f_i (ax+b)^i (cx+d)^(r-i).
 
-    Each side is evaluated by Horner's rule in ax+b, with the powers of
-    cx+d built once for both; the sums of products run on the field's
-    lazy code operations.
+    The composition of the two code steps: the powers of the
+    denominator form c x + d (_powers), then Horner's rule in a x + b
+    over them (_horner).  A scan that meets one c x + d for many a x + b
+    builds its powers once and calls _horner alone.
     """
-    add, scale, reduce = R.ctx.lazy
-    r = R.degree
+    return _horner(R, a, b, _powers(R.ctx, R.degree, c, d))
+
+
+def _powers(ctx, r, c, d):
+    """The codes of (c x + d)^k for k = 0..r, unreduced as the field's
+    lazy operations leave them."""
+    add, scale, _ = ctx.lazy
     dpow = [[1]]
     for _ in range(r):
         dpow.append(_times_linear(dpow[-1], d, c, add, scale))
+    return dpow
+
+
+def _horner(R, a, b, dpow):
+    """The codes of the numerator and denominator of R homogenized at
+    weight r = deg R in a x + b and the form whose powers dpow holds
+    (_powers, k = 0..r): each side by Horner's rule in a x + b, the
+    sums of products on the field's lazy code operations, reduced once
+    at the end.  Each side has r + 1 codes."""
+    add, scale, reduce = R.ctx.lazy
+    r = len(dpow) - 1
     out = []
     for f in R.key:
         f = f + (0,) * (r + 1 - len(f))
@@ -288,14 +307,15 @@ def solve_post(S, T):
     in that pencil by _solve_post_key, on element codes; the B it
     returns is made a Moebius here and checked to compose onto T.  The
     action of B on a nonconstant S is free, so the B found is the only
-    one.
+    one.  S and T over different fields raise TypeError; a constant S
+    or a T of another degree gives None.
     """
-    r = S.degree
-    if r < 1 or T.degree != r:
-        return None
     ctx = S.ctx
     if T.ctx is not ctx:
         raise TypeError("expressions over different fields")
+    r = S.degree
+    if r < 1 or T.degree != r:
+        return None
     codes = _solve_post_key(ctx, _padded(S.key, r), _padded(T.key, r), r)
     if codes is None:
         return None
@@ -397,28 +417,51 @@ def pair_scan(R, T):
     """Every pair (B, A) with act((B, A), R) = T, by A in enumerate_pgl2
     order.
 
-    The scan runs on element codes: for each A, R(A^{-1}(x)) is
-    substituted as in act but with no B folded in, and B is read off
-    its pencil by _solve_post_key against T's codes; the action of B is
-    free, so each A gives at most one pair.  Only an A that matches is
-    made a Moebius, with its B from solve_post.  Raises ValueError when
-    the group is too large to enumerate, before anything else; an R and
-    a T of different degrees give no pair.
+    The scan runs on element codes (_inverse_walk): for each A,
+    R(A^{-1}(x)) is substituted as in act but with no B folded in, and
+    with the powers of the denominator form built once per c.  B is
+    read off the pencil of the raw substituted codes by _solve_post_key
+    against T's codes; they need no monic step, since a common scale of
+    S's pair only scales B.  The action of B is free, so each A gives at
+    most one pair.  Only for an A that matches is S normalized, B taken
+    from solve_post with its re-check, and A made a Moebius.  Raises
+    ValueError when the group is too large to enumerate, before
+    anything else, then TypeError for expressions over different
+    fields; an R and a T of different degrees give no pair.
     """
     ctx = R.ctx
     keys = _pgl2_keys(ctx)
+    if T.ctx is not ctx:
+        raise TypeError("expressions over different fields")
     r = R.degree
     if r < 1 or T.degree != r:
         return
-    if T.ctx is not ctx:
-        raise TypeError("expressions over different fields")
-    neg = ctx.neg
     t = _padded(T.key, r)
-    for a, b, c, d in keys:
-        s = _monic_key(ctx, *_substitute(R, d, neg(b), neg(c), a))
-        if _solve_post_key(ctx, _padded(s, r), t, r) is not None:
-            B = solve_post(_from_key(ctx, s), T)
-            yield PairAction(B, Moebius(ctx, *map(ctx._by_key, (a, b, c, d))))
+    for key, s in _inverse_walk(R, keys):
+        if _solve_post_key(ctx, s, t, r) is not None:
+            B = solve_post(_monic_over(ctx, *s), T)
+            yield PairAction(B, Moebius(ctx, *map(ctx._by_key, key)))
+
+
+def _inverse_walk(R, keys):
+    """(key, codes of R(A^{-1}(x))) for the A given by each key in turn.
+
+    A^{-1} is (d, -b, -c, a) up to a scale, as in act, and the codes
+    are _substitute's, r + 1 per side and not normalized.  The powers
+    of the denominator form -c x + a depend on (c, a) alone, so they
+    are built once for each (c, a): 2q - 1 times over _pgl2_keys, whose
+    normalized keys have a in {0, 1}.
+    """
+    ctx = R.ctx
+    r = R.degree
+    neg = ctx.neg
+    powers = {}
+    for key in keys:
+        a, b, c, d = key
+        dpow = powers.get((c, a))
+        if dpow is None:
+            dpow = powers[c, a] = _powers(ctx, r, neg(c), a)
+        yield key, _horner(R, d, neg(b), dpow)
 
 
 def cross_ratio(x1, x2, x3, x4):

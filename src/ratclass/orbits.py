@@ -20,9 +20,9 @@ import itertools
 
 from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import (_fold_key, _inverse_key, _monic_key, _monic_over,
-                      _padded, _substitute, _trimmed, enumerate_pgl2,
-                      pair_scan, post, precompose)
+from .moebius import (_fold_key, _inverse_key, _inverse_walk, _monic_key,
+                      _monic_over, _padded, _substitute, _trimmed,
+                      enumerate_pgl2, pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
 from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
@@ -106,9 +106,10 @@ def stabilizer_order(R):
 
     For each source-side A the target side is forced: at most one B can
     satisfy B(R(A^{-1}(x))) = R, and moebius.pair_scan reads it off the
-    pencil of R(A^{-1}(x)), so one linear solve on element codes per
-    group element decides membership; elements are made only for the
-    pairs counted.
+    pencil of R(A^{-1}(x)), so one Horner substitution over shared
+    denominator powers and one linear solve on element codes per group
+    element decide membership; elements are made only for the pairs
+    counted.
     """
     return sum(1 for _ in pair_scan(R, R))
 
@@ -219,7 +220,8 @@ def _pencil_orbits(pencils, group):
     share one invariant bucket, into classes.
 
     The class of a pencil P is the union of the pencils of P(A(x)) over
-    A in the group, so one precomposition per group element finds its
+    A in the group, the same set as over A^{-1}, so one walk of
+    pair_scan's inverse substitutions (moebius._inverse_walk) finds its
     pencils, and the class holds q^3 - q expressions per pencil.  Yields
     (least member, size) per class.
     """
@@ -227,10 +229,10 @@ def _pencil_orbits(pencils, group):
     while remaining:
         seed = next(iter(remaining.values()))
         ctx, r = seed.ctx, seed.degree
-        # the pencil key is read off the codes of seed(A(x)) as they are
-        # substituted: the echelon basis is the same for every scale
-        orb = {_pencil_key(ctx, *_substitute(seed, *A.key), r)
-               for A in group}
+        # the pencil key is read off the codes of seed(A^{-1}(x)) as they
+        # are substituted: the echelon basis is the same for every scale
+        orb = {_pencil_key(ctx, *codes, r) for _, codes
+               in _inverse_walk(seed, (A.key for A in group))}
         if not orb <= remaining.keys():
             raise AssertionError("orbit of %s leaks out of its invariant "
                                  "bucket" % (seed,))

@@ -491,16 +491,29 @@ def test_pair_scan_degree_mismatch_returns_at_once(monkeypatch):
     F11 = ff.field_create(11)
     sq = rx.expr(F11, (0, 0, 1))
     cube = rx.expr(F11, (0, 0, 0, 1))
+    # the scan substitutes through its two code steps, so a call of
+    # either one (or of their composition) is a substitution
     calls = []
-    monkeypatch.setattr(mb, "_substitute", lambda *args: calls.append(args))
+    for step in ("_substitute", "_powers", "_horner"):
+        monkeypatch.setattr(mb, step, lambda *args: calls.append(args))
     assert list(mb.pair_scan(sq, cube)) == [] == list(mb.pair_scan(cube, sq))
     assert calls == []
-    # codes of different fields do not mix
-    sq7 = rx.expr(ff.field_create(7), (0, 0, 1))
+    # codes of different fields do not mix, whatever the degrees
+    F7 = ff.field_create(7)
+    sq7 = rx.expr(F7, (0, 0, 1))
+    cube7 = rx.expr(F7, (0, 0, 0, 1))
+    for other in (sq7, cube7):
+        with pytest.raises(TypeError):
+            next(mb.pair_scan(sq, other))
+        with pytest.raises(TypeError):
+            mb.solve_post(sq, other)
+    # different fields and different degrees: x^2 over F_5, x^3 over F_7
+    sq5 = rx.expr(ff.field_create(5), (0, 0, 1))
     with pytest.raises(TypeError):
-        next(mb.pair_scan(sq, sq7))
+        next(mb.pair_scan(sq5, cube7))
     with pytest.raises(TypeError):
-        mb.solve_post(sq, sq7)
+        mb.solve_post(sq5, cube7)
+    assert calls == []
     # the desk-scale refusal still comes before the degree test
     F257 = ff.field_create(257)
     with pytest.raises(ff.ScaleLimitError):
@@ -510,6 +523,42 @@ def test_pair_scan_degree_mismatch_returns_at_once(monkeypatch):
 
 def pair_keys(pairs):
     return [(P.B.key, P.A.key) for P in pairs]
+
+
+def test_pair_scan_shares_powers_and_normalizes_only_matches(monkeypatch):
+    # a full scan builds the powers of -c x + a once per (c, a): q for
+    # the (1, b) block and q - 1 for the (0, 1) block; S is made monic
+    # and B solved on elements once per pair found, never for a miss
+    calls = {"_powers": 0, "_horner": 0, "_monic_over": 0, "solve_post": 0}
+
+    def counted(name):
+        step = getattr(mb, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return step(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mb, name, counted(name))
+    rng = random.Random(41)
+    for p in (5, 7):
+        ctx = ff.field_create(p)
+        q = ctx.q
+        for degree in (2, 3):
+            R = _random_expr(rng, ctx, degree)
+            moved = mb.act(mb.PairAction(_random_moebius(rng, ctx),
+                                         _random_moebius(rng, ctx)), R)
+            for T, equivalent in ((R, True), (moved, True),
+                                  (_random_expr(rng, ctx, degree), False)):
+                for name in calls:
+                    calls[name] = 0
+                found = list(mb.pair_scan(R, T))
+                assert calls["_powers"] == 2 * q - 1, (ctx.name, str(R))
+                assert calls["_horner"] == q ** 3 - q
+                assert calls["_monic_over"] == calls["solve_post"] \
+                    == len(found)
+                assert found or not equivalent
 
 
 def test_pair_scan_matches_fel_scan_on_small_quadratics():

@@ -8,6 +8,7 @@ import ratclass.ffield as ff
 import ratclass.moebius as mb
 import ratclass.orbits as ob
 import ratclass.ratexpr as rx
+from test_moebius import fel_pair_scan
 
 # the package exports the classify function under the module's name,
 # so bind the module itself explicitly
@@ -462,12 +463,27 @@ def test_all_classes_f3_four_point(f3_cubic):
         assert lam.ctx.q == field_size[c["label"].param("pattern")]
 
 
-def test_all_classes_stabilizers_cross_checked(f3_cubic):
-    # group order over size (from the breadth-first partition) must agree
-    # with the direct forced-map count on every representative
-    for c in f3_cubic.classes:
-        assert ob.stabilizer_order(c["representative"]) \
-            == c["stabilizer_order"]
+def test_all_classes_stabilizers_cross_checked(f3_cubic, f7_cubic):
+    # group order over size must agree with the direct forced-map count
+    # and with the pairs fel_pair_scan finds on Fel objects, at every
+    # class representative of degrees 2 and 3 over F_2..F_7 (the least
+    # member for FourPoint classes); an inseparable class is fixed under
+    # every A, so its count is the group order
+    reports = [(ctx, ob.all_classes(ctx, degree)) for ctx, degree in
+               ((F2, 2), (F2, 3), (F3, 2), (F4, 2), (F4, 3), (F5, 2),
+                (F5, 3), (F7, 2))]
+    reports += [(F3, f3_cubic), (F7, f7_cubic)]
+    insep = set()
+    for ctx, report in reports:
+        for c in report.classes:
+            R = c["representative"]
+            n = ob.stabilizer_order(R)
+            assert n == len(list(fel_pair_scan(R, R))) \
+                == c["stabilizer_order"], (ctx.name, str(R))
+            if c["label"].case.endswith("_Insep"):
+                assert n == ctx.q ** 3 - ctx.q
+                insep.add((ctx.q, R.degree))
+    assert insep == {(2, 2), (4, 2), (3, 3)}
 
 
 def test_sixth_root_orbit_f7():
