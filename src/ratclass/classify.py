@@ -28,6 +28,15 @@ separable characteristic-2 quadratic from the quadratic formula, value
 by value, until one aligns.  Conjugate ramification points are aligned
 over F_{q^2}, and the alignment maps are checked to be Frobenius-stable
 rather than assumed, so they descend to F_q.
+
+The single wild points, x^3 + x and x^3 + sigma x in characteristic 3
+and (x^3 + theta^k)/x in characteristic 2, share one reduction
+(_wild_reduction): A0 sends infinity to the wild point, and in
+characteristic 2 also 0 to its fiber mate, and B0 sends the branch value
+to infinity.  One translation and two scalings (_wild_pair) then carry
+the result onto the canonical form; the characteristic-2 scaling is a
+cube root, taken by an exponent or, when 9 divides q - 1, as the least
+root that poly.roots finds.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       map_triple, pair_identity, pair_scan, post, precompose,
                       solve_post, three_point_map)
 from .poly import (Poly, _distinct_degree_split, _synthetic_div,
-                   irreducible_factors, poly_x, root_of_irreducible)
+                   irreducible_factors, poly_x, root_of_irreducible, roots)
 from .ramify import _profile, ramification_profile, wronskian
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
@@ -114,10 +123,6 @@ class ClassLabel:
             if k == name:
                 return v
         raise KeyError(name)
-
-    @property
-    def params_dict(self):
-        return dict(self.params)
 
     def __eq__(self, other):
         if not isinstance(other, ClassLabel):
@@ -464,27 +469,36 @@ def _witness_power_insep(R, r):
     return PairAction(N.inverse(), identity(ctx))
 
 
-def _scale(ctx, s):
-    return Moebius(ctx, s, ctx.zero, ctx.zero, ctx.one)
+def _wild_reduction(R, pt, second=None):
+    """Move R's single wild point pt and its branch value to infinity.
 
-
-def _reduce_to_poly(R, prof):
-    """Move the single ramification point, of index 3, and its branch
-    value to infinity: returns (A0, B0, C0) with C0 = B0(R(A0(x))) a
-    polynomial.
+    Returns (A0, B0, C0) with C0 = B0(R(A0(x))): A0 sends infinity to
+    pt, 0 to second (the first other point when none is given) and 1 to
+    the first point left, and B0 sends pt's branch value to infinity.
+    With second the fiber mate of a characteristic-2 double point, C0 has
+    its poles at infinity and 0, else at infinity only.
     """
     ctx = R.ctx
-    p3 = prof.points[0].point
-    u, v = _first_points(ctx, (p3,), 2)
-    A0 = three_point_map(p3, u, v)
-    S = precompose(R, A0)
-    q3 = S(INF)
-    z1, z2 = _first_points(ctx, (q3,), 2)
-    B0 = three_point_map(q3, z1, z2).inverse()
-    C0 = post(B0, S)
-    if C0.den.degree != 0:
+    P, Q = pt.point, pt.branch
+    poles = 0 if second is None else 1
+    if second is None:
+        second = _first_points(ctx, (P,), 1)[0]
+    A0 = three_point_map(P, second, _first_points(ctx, (P, second), 1)[0])
+    B0 = three_point_map(Q, *_first_points(ctx, (Q,), 2)).inverse()
+    C0 = post(B0, precompose(R, A0))
+    # the only finite pole can be second's image 0: the denominator is x^poles
+    if C0.den.degree != poles or any(c.key for c in C0.den.coeffs[:-1]):
         raise AssertionError("pole alignment failed for %s" % R)
     return A0, B0, C0
+
+
+def _wild_pair(A0, B0, t, shift, s):
+    """The pair (t (x + shift) o B0, (A0 o s x)^-1) that finishes a wild
+    witness from _wild_reduction."""
+    ctx = t.ctx
+    B = Moebius(ctx, t, t * shift, ctx.zero, ctx.one).compose(B0)
+    A = A0.compose(Moebius(ctx, s, ctx.zero, ctx.zero, ctx.one))
+    return PairAction(B, A.inverse())
 
 
 def _witness_char3_wild(R, prof):
@@ -495,34 +509,27 @@ def _witness_char3_wild(R, prof):
     one.
     """
     ctx = R.ctx
-    A0, B0, C0 = _reduce_to_poly(R, prof)
-    a = C0.num.coeff(3)
-    cc = C0.num.coeff(1)
-    d = C0.num.coeff(0)
-    if not (a.key and cc.key) or C0.num.coeff(2).key:
+    A0, B0, C0 = _wild_reduction(R, prof.points[0])
+    d, cc, a2, a = (C0.num.coeff(i) for i in range(4))
+    if not (a.key and cc.key) or a2.key:
         raise AssertionError("unexpected normal form %s" % C0)
-    B1 = Moebius(ctx, ctx.one, -d, ctx.zero, ctx.one)
     ratio = cc / a
     if is_square(ratio):
         case, e = "Cubic3_X3X", ctx.one
     else:
         case, e = "Cubic3_X3SigmaX", canonical_sigma(ctx)
     s = sqrt(ratio / e)
-    t = ctx.one / (a * s ** 3)
-    B = _scale(ctx, t).compose(B1).compose(B0)
-    A = A0.compose(_scale(ctx, s))
-    return case, PairAction(B, A.inverse())
+    return case, _wild_pair(A0, B0, ctx.one / (a * s ** 3), -d, s)
 
 
 def _cube_root(v):
     """Some y with y^3 = v; ValueError if v is not a cube.
 
-    When 9 divides q - 1 the root is the least of the three by element
-    code, found by Adleman-Manders-Miller: write q - 1 = 3^s t with t
-    prime to 3.  The 3-Sylow subgroup is generated by g = theta^t for
-    the canonical noncube theta, the discrete log of v^t to base g comes
-    by Pohlig-Hellman one base-3 digit at a time, and the part of v of
-    order prime to 3 has its cube root by an exponent.
+    Cubing is a bijection when 3 does not divide q - 1, and a
+    three-to-one map onto the cubes when it does; an exponent inverts it
+    unless 9 divides q - 1.  Then the three roots differ by the cube
+    roots of unity, and the least by element code is taken from
+    poly.roots of y^3 - v.
     """
     ctx = v.ctx
     if v.key == 0:
@@ -534,23 +541,7 @@ def _cube_root(v):
         raise ValueError("%r is not a cube" % (v,))
     if m % 9:
         return v ** pow(3, -1, m // 3)
-    s, t = 0, m
-    while t % 3 == 0:
-        s, t = s + 1, t // 3
-    g = canonical_theta(ctx) ** t
-    omega = g ** (3 ** (s - 1))
-    a = v ** t
-    k = 0
-    for i in range(s):
-        h = (a * g ** (-k)) ** (3 ** (s - 1 - i))
-        if h.key != 1:
-            k += 3 ** i * (1 if h == omega else 2)
-    # v^t = g^k with 3 | k; combine with the prime-to-3 part through
-    # alpha t + beta 3^s = 1
-    alpha = pow(t, -1, 3 ** s)
-    beta = (1 - alpha * t) // 3 ** s
-    y = g ** (k // 3 * alpha) * v ** (beta * 3 ** s * pow(3, -1, t))
-    return min((y, y * omega, y * omega * omega), key=lambda z: z.key)
+    return roots(Poly(ctx, (-v, ctx.zero, ctx.zero, ctx.one)))[0][0]
 
 
 def _witness_char2_iv(R, prof):
@@ -560,24 +551,11 @@ def _witness_char2_iv(R, prof):
     represents the cubic residue class of the reduced constant term.
     """
     ctx = R.ctx
-    P = prof.points[0].point
-    Q = prof.points[0].branch
-    Pp = _fiber_mate(R, prof.points[0])
-    w2 = _first_points(ctx, (P, Pp), 1)[0]
-    A0 = three_point_map(P, Pp, w2)
-    S = precompose(R, A0)
-    z1, z2 = _first_points(ctx, (Q,), 2)
-    B0 = three_point_map(Q, z1, z2).inverse()
-    C0 = post(B0, S)
-    den = C0.den
-    if den.degree != 1 or den.coeff(0).key:
-        raise AssertionError("pole alignment failed for %s" % R)
-    a3 = C0.num.coeff(3)
-    a1 = C0.num.coeff(1)
-    a0 = C0.num.coeff(0)
-    if not (a3.key and a0.key) or C0.num.coeff(2).key:
+    pt = prof.points[0]
+    A0, B0, C0 = _wild_reduction(R, pt, _fiber_mate(R, pt))
+    a0, a1, a2, a3 = (C0.num.coeff(i) for i in range(4))
+    if not (a3.key and a0.key) or a2.key:
         raise AssertionError("unexpected normal form %s" % C0)
-    B1 = Moebius(ctx, ctx.one, a1, ctx.zero, ctx.one)
     c = a0 / a3
     k = 0
     if (ctx.q - 1) % 3 == 0:
@@ -591,10 +569,7 @@ def _witness_char2_iv(R, prof):
             raise AssertionError("cubic character out of range")
     theta_k = ctx.one if k == 0 else canonical_theta(ctx) ** k
     s = _cube_root(c / theta_k)
-    t = ctx.one / (a3 * s * s)
-    B = _scale(ctx, t).compose(B1).compose(B0)
-    A = A0.compose(_scale(ctx, s))
-    return k, PairAction(B, A.inverse())
+    return k, _wild_pair(A0, B0, ctx.one / (a3 * s * s), a1, s)
 
 
 def _witness_quad_sep_char2(R, prof, T):
@@ -936,21 +911,6 @@ def classify(R):
         pair = _align(R, canonical_rep(label, ctx),
                       ((src, dst) for dst in triples), em)
     return label, Witness(pair, R, canonical_rep(label, ctx))
-
-
-def classify_quadratic(R):
-    """classify for a degree-2 expression: returns (label, witness)."""
-    if R.degree != 2:
-        raise ValueError("classify_quadratic needs a degree-2 expression")
-    return classify(R)
-
-
-def classify_cubic(R):
-    """classify for a degree-3 expression: returns (label, witness or
-    None)."""
-    if R.degree != 3:
-        raise ValueError("classify_cubic needs a degree-3 expression")
-    return classify(R)
 
 
 def are_equivalent(R, R2):

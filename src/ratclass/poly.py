@@ -58,10 +58,6 @@ class Poly:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].key == 1
-
     def coeff(self, i):
         """Coefficient of x^i (zero beyond the stored width)."""
         return self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero

@@ -78,10 +78,6 @@ class RamProfile:
         self.points = tuple(sorted(points, key=RamPoint.sort_key))
         self.indices = tuple(sorted(p.index for p in self.points))
 
-    @property
-    def everywhere_ramified(self):
-        return not self.separable
-
     def to_records(self):
         out = []
         for p in self.points:

@@ -90,10 +90,6 @@ class RatExpr:
             return self.den.degree
         return max(nd, self.den.degree)
 
-    @property
-    def is_constant(self):
-        return self.degree == 0
-
     def __call__(self, P):
         """Projective evaluation at P in the coefficient field or at INF."""
         if P is INF:

@@ -10,6 +10,7 @@ import ratclass.moebius as mb
 import ratclass.poly as pl
 import ratclass.ramify as rm
 import ratclass.ratexpr as rx
+from ratclass.parse import parse_expression
 
 # the package exports the classify function under the module's name,
 # so bind the module itself explicitly
@@ -67,7 +68,7 @@ def test_class_label_basics():
     b = cl.ClassLabel("Cubic2_iv", {"k": 1})
     c = cl.ClassLabel("Cubic2_iv", {"k": 2})
     assert a == b and hash(a) == hash(b) and a != c
-    assert a.param("k") == 1 and a.params_dict == {"k": 1}
+    assert a.param("k") == 1 and dict(a.params) == {"k": 1}
     with pytest.raises(KeyError):
         a.param("c")
     with pytest.raises(ValueError):
@@ -224,37 +225,33 @@ def test_lambda_of_c_s_equivariance():
 
 
 def test_classify_quadratic_frozen_examples():
-    label, w = cl.classify_quadratic(rx.expr(F2, (0, 1, 1)))
+    label, w = cl.classify(rx.expr(F2, (0, 1, 1)))
     assert label == cl.ClassLabel("Quad_SepChar2")
-    label, w = cl.classify_quadratic(rx.expr(F5, (2, 0, 1), (0, 2)))
+    label, w = cl.classify(rx.expr(F5, (2, 0, 1), (0, 2)))
     assert label == cl.ClassLabel("Quad_TwoPointTwist")
-    label, w = cl.classify_quadratic(rx.expr(F5, (3, 0, 1)))
+    label, w = cl.classify(rx.expr(F5, (3, 0, 1)))
     assert label == cl.ClassLabel("Quad_X2")
-    label, w = cl.classify_quadratic(rx.expr(F2, (0, 0, 1)))
+    label, w = cl.classify(rx.expr(F2, (0, 0, 1)))
     assert label == cl.ClassLabel("Quad_X2_Insep")
     assert w.A == mb.identity(F2)
-    with pytest.raises(ValueError):
-        cl.classify_quadratic(rx.expr(F5, (0, 0, 0, 1)))
 
 
 def test_classify_cubic_frozen_examples():
-    label, w = cl.classify_cubic(rx.expr(F7, (1, 4, 0, 1), (0, 6, 1)))
+    label, w = cl.classify(rx.expr(F7, (1, 4, 0, 1), (0, 6, 1)))
     assert label == cl.ClassLabel("Cubic_X3")
-    label, w = cl.classify_cubic(rx.expr(F3, (0, 2, 0, 1)))
+    label, w = cl.classify(rx.expr(F3, (0, 2, 0, 1)))
     assert label == cl.ClassLabel("Cubic3_X3SigmaX")
-    label, w = cl.classify_cubic(rx.expr(F3, (0, 1, 0, 1)))
+    label, w = cl.classify(rx.expr(F3, (0, 1, 0, 1)))
     assert label == cl.ClassLabel("Cubic3_X3X")
     t = F4.from_key(2)
-    label, w = cl.classify_cubic(rx.expr(
+    label, w = cl.classify(rx.expr(
         F4, (t, F4.zero, F4.zero, F4.one), (0, 1)))
     assert label == cl.ClassLabel("Cubic2_iv", {"k": 1})
-    label, w = cl.classify_cubic(rx.expr(F2, (1, 1, 0, 1), (0, 1, 1)))
+    label, w = cl.classify(rx.expr(F2, (1, 1, 0, 1), (0, 1, 1)))
     assert label == cl.ClassLabel("Cubic2_ii")
-    label, w = cl.classify_cubic(rx.expr(F3, (0, 0, 0, 1)))
+    label, w = cl.classify(rx.expr(F3, (0, 0, 0, 1)))
     assert label == cl.ClassLabel("Cubic3_X3_Insep")
     assert w.A == mb.identity(F3)
-    with pytest.raises(ValueError):
-        cl.classify_cubic(rx.expr(F5, (0, 0, 1)))
     with pytest.raises(ValueError):
         cl.classify(rx.expr(F5, (0, 1)))
 
@@ -302,16 +299,16 @@ def test_cubic_census_f3():
     # each invariant bucket closes under the action (spot check)
     rng = random.Random(0)
     for R in random_exprs(F3, 3, 12, rng):
-        lab, w = cl.classify_cubic(R)
+        lab, w = cl.classify(R)
         if lab.case != "FourPoint":
             continue
         moved = mb.act(random_pair(F3, rng), R)
-        assert cl.classify_cubic(moved)[0] == lab
+        assert cl.classify(moved)[0] == lab
 
 
 def test_equivalence_matches_labels_exhaustively_f2():
     exprs = list(rx.enumerate_expressions(F2, 3))
-    labels = [cl.classify_cubic(R)[0] for R in exprs]
+    labels = [cl.classify(R)[0] for R in exprs]
     for i, R in enumerate(exprs):
         for j in range(i, len(exprs)):
             pair = cl.are_equivalent(R, exprs[j])
@@ -407,7 +404,7 @@ def test_four_point_relation_empirical_char3():
     rng = random.Random(7)
     four = []
     for R in rx.enumerate_expressions(F3, 3):
-        label = cl.classify_cubic(R)[0]
+        label = cl.classify(R)[0]
         if label.case == "FourPoint":
             assert label == compositum_label(R), str(R)
             assert cl.classify(mb.act(random_pair(F3, rng), R))[0] == label
@@ -416,7 +413,7 @@ def test_four_point_relation_empirical_char3():
     assert all(holds(label) for label in four)
     rng = random.Random(3)
     for ctx in (F9, ff.field_create(3, 3)):
-        labels = [cl.classify_cubic(R)[0]
+        labels = [cl.classify(R)[0]
                   for R in random_exprs(ctx, 3, 120, rng)]
         four = [label for label in labels if label.case == "FourPoint"]
         assert len(four) >= 40
@@ -535,7 +532,7 @@ FOUR_POINT_SHAPES = {(1, 1, 1, 1): _SHAPES, (1, 1, 2): _SHAPES,
 
 
 def check_four_point(R, rng):
-    label = cl.classify_cubic(R)[0]
+    label = cl.classify(R)[0]
     assert label == compositum_label(R), (R.ctx.name, str(R))
     assert cl.lambda_mu_relation(label.param("lambda"), label.param("mu"))
     assert cl.classify(mb.act(random_pair(R.ctx, rng), R))[0] == label
@@ -608,14 +605,14 @@ def test_all_rational_four_point_absent_over_f5():
         assert lam is None or lam is rx.INF or lam.key in (0, 1)
     rng = random.Random(1)
     for R in random_exprs(F5, 3, 40, rng):
-        label = cl.classify_cubic(R)[0]
+        label = cl.classify(R)[0]
         if label.case == "FourPoint":
             assert label.param("pattern") != (1, 1, 1, 1)
 
 
 def test_label_json_shapes():
     t = F4.from_key(2)
-    label, w = cl.classify_cubic(rx.expr(
+    label, w = cl.classify(rx.expr(
         F4, (t, F4.zero, F4.zero, F4.one), (0, 1)))
     out = cl.label_json(label, F4, w)
     assert out["case"] == "Cubic2_iv"
@@ -628,22 +625,88 @@ def test_label_json_shapes():
     assert "witness" not in out
     assert out["invariants"]["lambda"] == "3"
     assert out["invariants"]["pattern"] == [1, 1, 1, 1]
-    label, w = cl.classify_quadratic(rx.expr(F5, (3, 0, 1)))
+    label, w = cl.classify(rx.expr(F5, (3, 0, 1)))
     out = cl.label_json(label, F5, w)
     assert out == {"case": "Quad_X2", "params": {}, "sigma": "2",
                    "witness": {"B": "x+2", "A": "x"}}
 
 
 def test_cube_root_matches_scan():
-    # 9 divides q - 1 for both fields, where the root is the least of three
-    for ctx in (ff.field_create(2, 6), ff.field_create(19)):
-        cubes = {(y ** 3).key for y in ctx}
-        for k in cubes:
-            v = ctx.from_key(k)
-            assert cl._cube_root(v) == next(y for y in ctx if y ** 3 == v)
+    # 9 divides q - 1 for every field, where the root is the least of three
+    for ctx in (ff.field_create(2, 6), ff.field_create(19),
+                ff.field_create(2, 12)):
+        least = {}
+        for y in ctx:  # in code order, so the first root kept is the least
+            least.setdefault((y ** 3).key, y)
+        for k, y in least.items():
+            assert cl._cube_root(ctx.from_key(k)) == y
         noncube = ff.canonical_theta(ctx)
         with pytest.raises(ValueError):
             cl._cube_root(noncube)
+    # beyond the tables: seeded cubes, each root the least of three
+    big = ff.field_create(2, 18)
+    assert big.elements is None and (big.q - 1) % 9 == 0
+    omega = ff.canonical_theta(big) ** ((big.q - 1) // 3)
+    rng = random.Random(18)
+    for _ in range(20):
+        y = big.from_key(rng.randrange(1, big.q))
+        v = y ** 3
+        root = cl._cube_root(v)
+        assert root ** 3 == v
+        assert root == min((y, y * omega, y * omega * omega),
+                           key=lambda z: z.key)
+
+
+# (p, n), label, then R and the B and A of its witness, frozen: a change
+# to the wild-point witnesses that moves any of them fails here
+WILD_WITNESSES = [
+    ((3, 3), "Cubic3_X3X", {},
+     "((t^2+2)x^3+(2t^2+t+2)x^2+(t^2+t)x+2t^2+1)/(x^3+(t^2+t+2)x^2+(2t+1)x+"
+     "t^2+1)",
+     "((2t^2+t)x+2t+1)/(x+t^2+2t+2)",
+     "2t^2/(x+t^2+2t+1)"),
+    ((3, 3), "Cubic3_X3SigmaX", {},
+     "((t^2+t)x^3+(t^2+t+1)x^2+tx+2t^2+1)/(x^3+2t^2+2t+1)",
+     "(t^2+t+2)x+2t^2+2",
+     "(t^2+2t)/(x+2t^2+2)"),
+    ((2, 6), "Cubic2_iv", {"k": 0},
+     "((t^5+t^4)x^3+(t^3+t^2+t)x^2+(t^5+t^4+t^3+t^2+t+1)x+t^5+t^4+"
+     "t^2)/(x^3+(t^5+t^4)x^2+t^5x+t^5+t^2+1)",
+     "((t^5+t^3+t^2+t)x+t^5+t^4+t^3)/(x+t^5+t^4+t^2+t+1)",
+     "((t^5+t^4+t^3+t^2+1)x+t^4)/(x+t^5+t^4)"),
+    ((2, 6), "Cubic2_iv", {"k": 1},
+     "((t^4+t^3+t^2+t)x^3+(t^4+t^3+1)x^2+(t+1)x+t^3+t+1)/(x^3+(t^5+t^4+t^3+"
+     "t^2)x^2+(t^5+t)x+t^5+t^4+t^3+t^2+t)",
+     "((t^4+t^2+t+1)x+t^4)/(x+t^3+t^2+t+1)",
+     "((t^5+t^3+t^2)x+t^4+t^2)/(x+t^3+t)"),
+    ((2, 6), "Cubic2_iv", {"k": 2},
+     "(t^3x^3+(t^5+t^2+1)x+t^5+t^4+t^3+t^2+1)/(x^3+(t^5+t+1)x+t^4+t^3+t^2+"
+     "t+1)",
+     "((t^4+t^3+t+1)x+t^5+t^4+t^3+t^2+t+1)/(x+t^3)",
+     "(t^4+t^3+1)x"),
+    ((2, 18), "Cubic2_iv", {"k": 1},
+     "((t^15+t^14+t^11+t^9+t^6+t^3+t)x^3+(t^17+t^16+t^15+t^14+t^13+t^12+"
+     "t^10+t^7+t^5+t^4+t^3)x^2+(t^17+t^16+t^14+t^4+t^3+t^2+t)x+t^17+t^15+"
+     "t^13+t^12+t^11+t^10+t^9+t^8+t^3+t)/(x^3+(t^17+t^14+t^13+t^12+t^10+"
+     "t^9+t^7+t^6+t^5+t^3+1)x^2+(t^17+t^14+t^13+t^9+t^3+t)x+t^16+t^15+t^13+"
+     "t^12+t^11+t^10+t^9+t^8+t^7+t^6+t^5+t^4+t^3+t^2+t)",
+     "((t^17+t^15+t^12+t^11+t^9+t^8+t^6+t^4+t+1)x+t^17+t^16+t^15+t^13+t^11+"
+     "t^8+t^7+t^5+t^2+t)/(x+t^17+t^16+t^14+t^13+t^12+t^10+t^8+t^6+t^5+t^4+"
+     "t^2+1)",
+     "((t^17+t^15+t^14+t^10+t^6+t^5)x+t^17+t^16+t^13+t^12+t^7+t^6+t^5+t^4+"
+     "t^3+t^2+t)/(x+t^15+t^14+t^13+t^11+t^9+t^7+t^6+t^5+t^4+t^2+t+1)"),
+]
+
+
+
+def test_wild_witnesses_frozen():
+    # the single wild points of characteristics 3 and 2; over F_64 and
+    # F_{2^18} the cube root is the least of three
+    for (p, n), case, params, text, B, A in WILD_WITNESSES:
+        ctx = ff.field_create(p, n)
+        label, w = cl.classify(parse_expression(text, ctx))
+        assert label == cl.ClassLabel(case, params)
+        assert (str(w.B), str(w.A)) == (B, A)
 
 
 def test_cubic2_iv_beyond_interned_fields():

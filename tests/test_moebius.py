@@ -21,7 +21,7 @@ def compose_chain(*exprs):
     keep normal forms without one."""
     out = exprs[0]
     for S in exprs[1:]:
-        if S.is_constant:
+        if S.degree == 0:
             raise ValueError("composition with a constant expression")
         r = out.degree
         npow = [rx.Poly(S.ctx, (1,))]

@@ -108,7 +108,7 @@ def test_separability():
 
 def test_cube_map_profile():
     prof = rm.ramification_profile(rx.expr(F5, (0, 0, 0, 1)))
-    assert prof.separable and not prof.everywhere_ramified
+    assert prof.separable
     assert prof.indices == (3, 3)
     assert point_map(prof) == {"inf": (3, "inf"), "0": (3, "0")}
     assert rm.hurwitz_check(rx.expr(F5, (0, 0, 0, 1))) == "holds_with_equality"
@@ -175,7 +175,6 @@ def test_rational_quadratic_and_wild_quadratic():
 def test_inseparable_profile_and_guards():
     prof = rm.ramification_profile(rx.expr(F2, (0, 0, 1)))
     assert not prof.separable
-    assert prof.everywhere_ramified
     assert prof.points == () and prof.indices == ()
     with pytest.raises(ValueError):
         rm.hurwitz_check(rx.expr(F2, (0, 0, 1)))
