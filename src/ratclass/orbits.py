@@ -6,12 +6,13 @@ of post-orbits {B(R(A(x)))} over the source maps A, counts stabilizers,
 partitions the full set of quadratics or cubics over a small field into
 classes, and verifies the partition against closed-form counts.  A
 post-orbit is the set of expressions of one pencil <num, den>, so the
-partition classifies one expression per basepoint-free pencil and
-checks every other member's witness equation on element codes.  FourPoint
-labels can merge classes, so their buckets are split on pencils: the
-class of a pencil is the set of pencils its precompositions span, and
-its least member is read off each pencil's echelon basis.  orbit_of,
-which lists an orbit's members, is the oracle for that split.
+partition classifies one expression per basepoint-free pencil, checks
+its witness equation once on element codes and counts its members, each
+built once on codes.  FourPoint labels can merge classes, so their
+buckets are split on pencils: the class of a pencil is the set of
+pencils its precompositions span, and its least member is read off each
+pencil's echelon basis.  orbit_of, which lists an orbit's members, is
+the oracle for that split.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import itertools
 
 from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
-from .moebius import (_fold_key, _inverse_key, _inverse_walk, _monic_key,
-                      _monic_over, _padded, _substitute, _trimmed,
-                      enumerate_pgl2, pair_scan, post, precompose)
+from .moebius import (_fold_key, _inverse_walk, _monic_key, _monic_over,
+                      _padded, _substitute, _trimmed, enumerate_pgl2,
+                      pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
 from .ratexpr import _normalized, count_expressions, enumerate_expressions
 
@@ -246,28 +247,27 @@ def all_classes(ctx, degree):
 
     Each expression is B(R) for exactly one pencil representative R
     (_pencils) and one B in PGL_2, and all of a pencil's members share
-    R's class, so R alone is classified.  A non-FourPoint member still
-    gets its witness onto the canonical representative T checked: if
-    (B0, A0) maps R onto T, then (E^-1, A0) maps the member
-    M = E(B0(R)) onto T, which is the equation E^-1(M) = T(A0).  T(A0)
-    is computed once per pencil; each member M is built and folded
-    back by E^-1 on integer codes (moebius._fold_key), with no
-    substitution and no element made, and must give T(A0)'s key, or
-    AssertionError names the pencil and E.  Every member of a
-    non-FourPoint bucket is thus proved to lie in the single class of
-    its label, and the bucket keeps only a count.  A FourPoint bucket
+    R's class, so R alone is classified.  A non-FourPoint pencil gets
+    its witness onto the canonical representative T checked once: if
+    (B0, A0) maps R onto T, then B0(R) = T(A0), compared on integer
+    codes (moebius._fold_key), or AssertionError names the pencil.  The
+    members are then E(B0(R)) = E(T(A0)) for E in PGL_2, all in T's
+    class, and the bucket keeps only their count, q^3 - q.  That count
+    already follows from the free post-action; building each member
+    once on codes (no substitution, no element made) and requiring
+    q^3 - q distinct keys, or AssertionError naming the pencil, is a
+    check of the fold kernel, and it goes once partition memory is
+    read at a fixed amount of work (ROADMAP item 1).  A FourPoint bucket
     keeps its pencils and is split into the orbits of precomposition
     on pencils (_pencil_orbits), so merged invariants cannot hide
-    distinct classes; a class is represented by its least member,
-    read off each pencil's echelon basis (_least_member).
+    distinct classes; a class is represented by its least member, read
+    off each pencil's echelon basis (_least_member).
     """
     if degree not in (2, 3):
         raise ValueError("class partitions cover degrees 2 and 3 only")
     total_expected = _check_scale(ctx, degree)
     group = enumerate_pgl2(ctx)
-    # each E with the codes of its inverse up to a scale, which the
-    # monic denominator absorbs
-    codes = [(E, E.key, _inverse_key(E)) for E in group]
+    keys = [E.key for E in group]
     counts = {}
     buckets = {}
     for R in _pencils(ctx, degree):
@@ -276,13 +276,12 @@ def all_classes(ctx, degree):
             buckets.setdefault(label, {})[R.key] = R
             continue
         R0 = _fold_key(ctx, witness.B.key, *R.key)
-        TA = _monic_key(ctx, *_substitute(witness.target, *witness.A.key))
-        for E, e, e_inv in codes:
-            M = _fold_key(ctx, e, *R0)
-            if _fold_key(ctx, e_inv, *M) != TA:
-                raise AssertionError(
-                    "pencil of %s: the member under %r fails its witness"
-                    % (R, E))
+        if R0 != _monic_key(ctx, *_substitute(witness.target,
+                                               *witness.A.key)):
+            raise AssertionError("pencil of %s fails its witness" % (R,))
+        if len({_fold_key(ctx, e, *R0) for e in keys}) != len(group):
+            raise AssertionError("pencil of %s does not hold %d distinct "
+                                 "members" % (R, len(group)))
         counts[label] = counts.get(label, 0) + len(group)
     group_sq = len(group) ** 2
     classes = []

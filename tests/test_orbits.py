@@ -19,6 +19,8 @@ F3 = ff.field_create(3)
 F4 = ff.field_create(2, 2)
 F5 = ff.field_create(5)
 F7 = ff.field_create(7)
+F8 = ff.field_create(2, 3)
+F9 = ff.field_create(3, 2)
 F16 = ff.field_create(2, 4)
 
 GROUP_SQ = {q: (q ** 3 - q) ** 2 for q in (2, 3, 5, 7)}
@@ -31,7 +33,7 @@ def f3_cubic():
 
 @pytest.fixture(scope="module")
 def f7_cubic():
-    # about 3 s and 17 MB
+    # about 2 s and 17 MB
     return ob.all_classes(F7, 3)
 
 
@@ -244,9 +246,9 @@ def test_all_classes_matches_expression_oracle(ctx, degree):
 def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
     # over F_3 one classify per pencil: 1944 cubics / 24 members = 81.
     # Each of the 33 non-FourPoint pencils folds its representative R
-    # by B0 once, then builds every member M = E(B0(R)) and folds it
-    # back by E^-1 onto T(A0): two folds per member, 1944 - 1152
-    # FourPoint members = 792, and no act outside classify
+    # by B0 once, then builds every member M = E(B0(R)) once: one fold
+    # per member, 1944 - 1152 FourPoint members = 792, and no act
+    # outside classify
     calls = {"classify": 0, "act": 0, "orbit_of": 0}
     folds = []
     inside = []
@@ -282,11 +284,11 @@ def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
     report = ob.all_classes(F3, 3)
     assert report.total == 1944
     assert calls == {"classify": 81, "act": 0, "orbit_of": 0}
-    # per pencil: B0(R), then (member, member folded back) per E
-    block = 1 + 2 * 24
+    # per pencil: B0(R), then one member per E
+    block = 1 + 24
     assert len(folds) == 33 * block
     members = {k for i in range(0, len(folds), block)
-               for k in folds[i + 1:i + block:2]}
+               for k in folds[i + 1:i + block]}
     assert len(members) == 792
     # the members and the FourPoint classes make up every cubic
     four = set()
@@ -298,14 +300,18 @@ def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
                               rx.enumerate_expressions(F3, 3)}
 
 
-@pytest.mark.parametrize("tamper", ["A", "target"])
-def test_all_classes_rejects_a_tampered_witness(monkeypatch, tamper):
+@pytest.mark.parametrize("tamper", ["A", "target", "class"])
+def test_all_classes_rejects_a_tampered_witness(monkeypatch, f3_cubic,
+                                                tamper):
     # the first non-FourPoint pencil gets a witness whose source map or
-    # target no longer satisfies B0(R) = T(A0); the member checks on
-    # codes must catch it
-    classify = ob.classify
+    # target no longer satisfies B0(R) = T(A0): a target in the same
+    # class, or the canonical representative of another class.  The
+    # check on codes must catch it once per pencil, after the one fold
+    # of B0(R) and before any member is built
+    classify, fold_key = ob.classify, ob._fold_key
     group = mb.enumerate_pgl2(F3)
     tampered = []
+    folds = []
 
     def bad_classify(R):
         label, w = classify(R)
@@ -315,18 +321,48 @@ def test_all_classes_rejects_a_tampered_witness(monkeypatch, tamper):
         want = mb.post(B, R)
         if tamper == "A":
             A = next(E for E in group if mb.precompose(T, E) != want)
-        else:
+        elif tamper == "target":
             T = next(mb.post(E, T) for E in group
                      if mb.precompose(mb.post(E, T), A) != want)
+        else:
+            T = next(c["representative"] for c in f3_cubic.classes
+                     if c["label"].case != "FourPoint"
+                     and c["label"] != label)
         tampered.append(R)
         forged = object.__new__(cl.Witness)
         forged.pair, forged.source, forged.target = mb.PairAction(B, A), R, T
         return label, forged
 
+    def counted_fold_key(ctx, codes, num, den):
+        folds.append(codes)
+        return fold_key(ctx, codes, num, den)
+
     monkeypatch.setattr(ob, "classify", bad_classify)
-    with pytest.raises(AssertionError, match="fails its witness"):
+    monkeypatch.setattr(ob, "_fold_key", counted_fold_key)
+    with pytest.raises(AssertionError, match="pencil of .* fails its "
+                       "witness"):
         ob.all_classes(F3, 3)
     assert len(tampered) == 1
+    assert len(folds) == 1
+
+
+def test_all_classes_rejects_a_repeated_member(monkeypatch):
+    # the third fold of the first non-FourPoint pencil, its second
+    # member, repeats the first member: the pencil then holds fewer
+    # than q^3 - q distinct keys, and the count that backs its class
+    # size must fail
+    fold_key = ob._fold_key
+    folds = []
+
+    def repeating_fold_key(ctx, codes, num, den):
+        key = fold_key(ctx, codes, num, den)
+        folds.append(key)
+        return folds[1] if len(folds) == 3 else key
+
+    monkeypatch.setattr(ob, "_fold_key", repeating_fold_key)
+    with pytest.raises(AssertionError, match="does not hold 24 distinct"):
+        ob.all_classes(F3, 3)
+    assert len(folds) == 1 + 24
 
 
 def test_pencil_key_matches_echelon_oracle():
@@ -519,7 +555,8 @@ def test_verify_statements_true():
     table = [(F2, "expr-count"), (F2, "quad-counts"),
              (F2, "char2-cubic-counts"), (F2, "class-bound"),
              (F3, "expr-count"), (F3, "quad-counts"), (F3, "class-bound"),
-             (F4, "quad-counts"), (F5, "quad-counts")]
+             (F4, "quad-counts"), (F5, "quad-counts"),
+             (F7, "quad-counts"), (F8, "quad-counts"), (F9, "quad-counts")]
     for ctx, statement in table:
         ok, details = ob.verify_statement(ctx, statement)
         assert ok, (ctx.name, statement, details)
