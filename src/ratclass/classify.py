@@ -383,16 +383,16 @@ def _fiber_mate(R, pt):
     """The other preimage of pt.branch under the cubic R, for a point pt
     of index 2, in the field of pt.
 
-    The fiber polynomial num - Q den (den when Q is infinite) has P as a
-    double root, so dividing (x - P)^2 out leaves a cofactor of degree at
-    most one: its root is the mate, and a constant cofactor puts the
-    mate at infinity.  At P = infinity the fiber polynomial drops two
-    degrees and is already linear.
+    The fiber polynomial R.fiber(Q) has P as a double root, so dividing
+    (x - P)^2 out leaves a cofactor of degree at most one: its root is
+    the mate, and a constant cofactor puts the mate at infinity.  At
+    P = infinity the fiber polynomial drops two degrees and is already
+    linear.
     """
     if pt.defining_degree > 1:
         R = R.lift(extend(R.ctx, pt.defining_degree)[1])
     P, Q = pt.point, pt.branch
-    fiber = R.den if Q is INF else R.num - R.den * Q
+    fiber = R.fiber(Q)
     if P is not INF:
         for _ in range(2):
             fiber, rem = _synthetic_div(fiber, P)
@@ -589,18 +589,16 @@ def _split_fibers(R, Q):
     2, lazily, by value in P^1 order, skipping the branch value Q; each
     fiber is a pair of points in P^1 order.
 
-    The fiber over v is the roots of f = den (v = inf) or of
-    f = num - v den, joined by infinity when f has degree 1; its root
-    is then f0/f1, as -1 = 1.  Off Q a
+    The fiber over v is the roots of f = R.fiber(v), joined by infinity
+    when f has degree 1; its root is then f0/f1, as -1 = 1.  Off Q a
     quadratic f is a multiple of x^2 + bx + c with no double root, so
     b != 0, and it splits exactly when y = c/b^2 has trace 0, into
     u = b z and u + b for z^2 + z = y.
     """
-    num, den = ([g.coeff(i) for i in range(3)] for g in (R.num, R.den))
     for v in proj_points(R.ctx):
         if proj_key(v) == proj_key(Q):
             continue
-        f0, f1, f2 = den if v is INF else (n - v * d for n, d in zip(num, den))
+        f0, f1, f2 = map(R.fiber(v).coeff, range(3))
         if not f2.key:
             yield INF, f0 / f1
             continue

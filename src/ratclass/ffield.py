@@ -81,16 +81,7 @@ def check_power_scale(p, n, what):
 
 
 def _is_prime(m):
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
+    return m >= 2 and _prime_factors(m) == [m]
 
 
 def _prime_factors(m):

@@ -501,8 +501,11 @@ def s_group_maps(ctx):
 
 
 def s_orbit(lam, ctx=None):
-    """The S-orbit of a cross-ratio value (a set of points of P^1)."""
+    """The S-orbit of a cross-ratio value (a set of points of P^1); the
+    field is lam's, and ctx names it for the point at infinity."""
     if ctx is None:
+        if lam is INF:
+            raise ValueError("the point at infinity needs ctx")
         ctx = lam.ctx
     return {M(lam) for M in s_group_maps(ctx)}
 

@@ -22,10 +22,11 @@ import itertools
 from .classify import CASES, canonical_rep, classify, label_json
 from .ffield import check_desk_scale
 from .moebius import (_fold_key, _inverse_walk, _monic_key, _monic_over,
-                      _padded, _substitute, _trimmed, enumerate_pgl2,
-                      pair_scan, post, precompose)
+                      _padded, _pgl2_keys, _substitute, _trimmed,
+                      enumerate_pgl2, pair_scan, post, precompose)
 from .poly import Poly, gcd_monic
-from .ratexpr import _normalized, count_expressions, enumerate_expressions
+from .ratexpr import (_check_scale, _normalized, count_expressions,
+                      enumerate_expressions)
 
 STATEMENTS = ("expr-count", "quad-counts", "char2-cubic-counts",
               "six-counts", "class-bound")
@@ -75,12 +76,6 @@ def coprime_pair_count(ctx, r, s):
             if gcd_monic(f, g).degree == 0:
                 n += 1
     return n
-
-
-def _check_scale(ctx, degree):
-    return check_desk_scale(count_expressions(ctx, degree),
-                            "expressions of degree %d over %s"
-                            % (degree, ctx.name))
 
 
 def orbit_of(R):
@@ -218,7 +213,8 @@ def _least_member(R):
 
 def _pencil_orbits(pencils, group):
     """Split pencils, a dict from _pencils keys to representatives that
-    share one invariant bucket, into classes.
+    share one invariant bucket, into classes; group is the list of
+    _pgl2_keys codes.
 
     The class of a pencil P is the union of the pencils of P(A(x)) over
     A in the group, the same set as over A^{-1}, so one walk of
@@ -233,7 +229,7 @@ def _pencil_orbits(pencils, group):
         # the pencil key is read off the codes of seed(A^{-1}(x)) as they
         # are substituted: the echelon basis is the same for every scale
         orb = {_pencil_key(ctx, *codes, r) for _, codes
-               in _inverse_walk(seed, (A.key for A in group))}
+               in _inverse_walk(seed, group)}
         if not orb <= remaining.keys():
             raise AssertionError("orbit of %s leaks out of its invariant "
                                  "bucket" % (seed,))
@@ -266,8 +262,7 @@ def all_classes(ctx, degree):
     if degree not in (2, 3):
         raise ValueError("class partitions cover degrees 2 and 3 only")
     total_expected = _check_scale(ctx, degree)
-    group = enumerate_pgl2(ctx)
-    keys = [E.key for E in group]
+    group = list(_pgl2_keys(ctx))
     counts = {}
     buckets = {}
     for R in _pencils(ctx, degree):
@@ -279,7 +274,7 @@ def all_classes(ctx, degree):
         if R0 != _monic_key(ctx, *_substitute(witness.target,
                                                *witness.A.key)):
             raise AssertionError("pencil of %s fails its witness" % (R,))
-        if len({_fold_key(ctx, e, *R0) for e in keys}) != len(group):
+        if len({_fold_key(ctx, e, *R0) for e in group}) != len(group):
             raise AssertionError("pencil of %s does not hold %d distinct "
                                  "members" % (R, len(group)))
         counts[label] = counts.get(label, 0) + len(group)

@@ -12,12 +12,13 @@ Integers are ASCII digits.  Coefficients are integer literals (reduced
 into the field) or, over an extension field, polynomials in the
 generator t.  A subexpression is an unreduced numerator and denominator,
 little-endian lists of field elements with None for the denominator 1,
-so parsing never loses information; a power of a monomial c x^k is
-c^e x^(ke) in closed form, and RatExpr reduces the fraction once, at
-the end.  Dividing by an identically zero subexpression is an error
-reported at the slash; a power of degree beyond the desk-scale bound is
-refused before it is built.  The printed form of any expression parses
-back to the identical normalized object.
+so parsing never loses information.  The lists are combined by poly's
+kernels (_add, _mul, _pow; a power of a monomial c x^k is c^e x^(ke) in
+closed form), and this module defines no arithmetic of its own; RatExpr
+reduces the fraction once, at the end.  Dividing by an identically zero
+subexpression is an error reported at the slash; a power of degree
+beyond the desk-scale bound is refused before it is built.  The printed
+form of any expression parses back to the identical normalized object.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .ffield import check_desk_scale
-from .poly import _mk
+from .poly import _add, _mk, _mul, _pow
 from .ratexpr import RatExpr
 
 
@@ -50,55 +51,6 @@ class ParseError(ValueError):
 # a token is an ASCII integer or one other character, white space aside
 _TOKEN = re.compile(r"[0-9]+|\S")
 _STRAY = re.compile(r"[^\s0-9xt+\-*/^()]")
-
-
-def _add(a, b):
-    """Sum of coefficient lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    out = list(a)
-    for i, c in enumerate(b):
-        if c.key:
-            d = out[i]
-            out[i] = d + c if d.key else c
-    while out and not out[-1].key:
-        out.pop()
-    return out
-
-
-def _mul(a, b):
-    """Product of coefficient lists, None standing for 1."""
-    if a is None or b is None:
-        return b if a is None else a
-    if not a or not b:
-        return []
-    out = [None] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c.key:
-            for j, d in enumerate(b):
-                if d.key:
-                    o = out[i + j]
-                    out[i + j] = c * d if o is None else o + c * d
-    zero = a[0].ctx.zero
-    return [zero if o is None else o for o in out]
-
-
-def _pow(a, e, ctx):
-    """a^e for a coefficient list a."""
-    if e == 0:
-        return [ctx.one]
-    k = len(a) - 1
-    if not any(c.key for c in a[:k]):
-        # c x^k, and the empty list (zero) for k = -1
-        return [ctx.zero] * (k * e) + [c ** e for c in a[k:]]
-    out = a
-    for bit in bin(e)[3:]:
-        out = _mul(out, out)
-        if bit == "1":
-            out = _mul(out, a)
-    return out
 
 
 class _Parser:

@@ -4,6 +4,11 @@ Coefficients are stored little-endian with trailing zeros trimmed, so
 the zero polynomial is the empty tuple and its degree is None (a
 distinguished marker, deliberately not -1).
 
+The package's one polynomial arithmetic on field elements lives here:
+_add, _mul (None standing for 1) and _pow (c^e x^(ke) for a monomial)
+on coefficient lists, with no sum that starts from zero.  Poly's +, *
+and ** run them on tuples, and parse on unreduced fractions.
+
 irreducible_factors factors over the coefficient field by squarefree,
 distinct-degree and seeded equal-degree (Cantor-Zassenhaus) splitting,
 and root_of_irreducible realizes one root of an irreducible factor in
@@ -38,10 +43,8 @@ class Poly:
                 raise TypeError("coefficient of %s in a polynomial over %s" %
                                 (c.ctx.name, ctx.name))
             cs.append(c)
-        while cs and cs[-1].key == 0:
-            cs.pop()
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_trim(cs))
 
     @property
     def degree(self):
@@ -81,13 +84,7 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return _mk(self.ctx, _trim(cs))
+        return _mk(self.ctx, _add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -115,17 +112,7 @@ class Poly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _mk(self.ctx, ())
-        z = self.ctx.zero
-        out = [z] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.key:
-                for j, bj in enumerate(b):
-                    if bj.key:
-                        out[i + j] = out[i + j] + ai * bj
-        return _mk(self.ctx, _trim(out))
+        return _mk(self.ctx, _mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -138,14 +125,7 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = _mk(self.ctx, (self.ctx.one,))
-        cur = self
-        while e:
-            if e & 1:
-                result = result * cur
-            cur = cur * cur
-            e >>= 1
-        return result
+        return _mk(self.ctx, _pow(self.coeffs, e, self.ctx))
 
     def derivative(self):
         cs = [i * c for i, c in enumerate(self.coeffs)][1:]
@@ -205,6 +185,54 @@ def _trim(cs):
     while n and cs[n - 1].key == 0:
         n -= 1
     return cs[:n]
+
+
+def _add(a, b):
+    """Sum of trimmed coefficient lists, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for i, c in enumerate(b):
+        if c.key:
+            d = out[i]
+            out[i] = d + c if d.key else c
+    return _trim(out)
+
+
+def _mul(a, b):
+    """Product of trimmed coefficient lists, None standing for 1; the
+    product of two leading coefficients is nonzero, so it needs no trim."""
+    if a is None or b is None:
+        return b if a is None else a
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c.key:
+            for j, d in enumerate(b):
+                if d.key:
+                    o = out[i + j]
+                    out[i + j] = c * d if o is None else o + c * d
+    zero = a[0].ctx.zero
+    return [zero if o is None else o for o in out]
+
+
+def _pow(a, e, ctx):
+    """a^e for a trimmed coefficient list a."""
+    if e == 0:
+        return [ctx.one]
+    k = len(a) - 1
+    if not any(c.key for c in a[:k]):
+        # c x^k, and the empty list (zero) for k = -1
+        return [ctx.zero] * (k * e) + [c ** e for c in a[k:]]
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mul(out, out)
+        if bit == "1":
+            out = _mul(out, a)
+    return out
 
 
 def poly_x(ctx):

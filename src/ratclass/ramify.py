@@ -14,9 +14,9 @@ Which path computes the index:
   multiplicity m in W has index m + 1, and infinity has index
   2 deg R - 1 - deg W; both are read off the factorization of W.
 * p <= deg R (p = 2 or 3), where a point may be wild: ram_index, the
-  multiplicity of the point in the fiber polynomial num - R(P) den (the
-  degree drop of that polynomial at infinity), once per closed point
-  (conjugate points share their index).
+  multiplicity of the point in the fiber polynomial R.fiber(R(P)) (its
+  degree drop at infinity), once per closed point (conjugate points
+  share their index).
 
 hurwitz_check recomputes every index with ram_index on both paths.
 """
@@ -108,22 +108,15 @@ def is_separable(R):
 
 
 def ram_index(R, P):
-    """The local index e_R(P): the order of R - R(P) at P.
-
-    At a finite P this is the multiplicity of P as a root of
-    num - R(P) den, or of den when R(P) is infinite, found by repeated
-    synthetic division.  At infinity it is the degree drop
-    deg den - deg(num - R(P) den), or deg num - deg den when R(P) is
-    infinite.  Returns 1 at unramified points.
+    """The local index e_R(P): the order of R - R(P) at P, read off the
+    fiber polynomial f = R.fiber(R(P)).  At a finite P it is the
+    multiplicity of P as a root of f, by repeated synthetic division; at
+    infinity it is the degree drop deg R - deg f, whether R(P) is finite
+    or not.  Returns 1 at unramified points.
     """
-    Q = R(P)
-    if Q is INF:
-        if P is INF:
-            return R.num.degree - R.den.degree
-        return _multiplicity(R.den, P)
-    fiber = R.num - R.den * Q
+    fiber = R.fiber(R(P))
     if P is INF:
-        return R.den.degree - fiber.degree
+        return R.degree - fiber.degree
     return _multiplicity(fiber, P)
 
 

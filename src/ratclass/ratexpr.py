@@ -110,6 +110,12 @@ class RatExpr:
             return INF
         raise AssertionError("common root survived normalization")
 
+    def fiber(self, Q):
+        """The fiber polynomial over Q: num - Q den, or den for Q = INF.
+        Its roots are the finite preimages of Q, each of multiplicity
+        its index."""
+        return self.den if Q is INF else self.num - self.den * Q
+
     def lift(self, emb):
         """The same expression over the extension reached by emb.
 
@@ -187,11 +193,17 @@ def enumerate_expressions(ctx, r):
     while the denominator degree is below r.  Every expression of
     degree r appears exactly once, already in lowest terms.
     """
-    if r < 1:
-        raise ValueError("degree must be at least 1")
-    check_desk_scale(count_expressions(ctx, r),
-                     "expressions of degree %d over %s" % (r, ctx.name))
+    _check_scale(ctx, r)
     return _enumerate_expressions(ctx, r)
+
+
+def _check_scale(ctx, r):
+    """count_expressions(ctx, r), the bound on every walk over the
+    expressions of degree r: ScaleLimitError beyond the desk-scale
+    bound."""
+    return check_desk_scale(count_expressions(ctx, r),
+                            "expressions of degree %d over %s"
+                            % (r, ctx.name))
 
 
 def _enumerate_expressions(ctx, r):

@@ -636,6 +636,9 @@ def test_s_orbit_frozen():
     assert {v.key for v in mb.s_orbit(s(3))} == {3, 5}
     assert mb.s_orbit_min(s(2)).key == 2
     assert mb.s_orbit_min(INF, F7) is INF
+    for orbit in (mb.s_orbit, mb.s_orbit_min):
+        with pytest.raises(ValueError, match="point at infinity needs ctx"):
+            orbit(INF)
 
 
 def test_s_orbit_sizes_exhaustive():

@@ -41,18 +41,53 @@ def test_zero_polynomial_degree_is_none():
         z.lc
 
 
-def test_arithmetic_against_evaluation():
-    # ring ops commute with evaluation at every point of a small field
-    F9 = ff.field_create(3, 2)
+def test_arithmetic_against_evaluation(monkeypatch):
+    # ring ops commute with evaluation: at every point of F_9, and at
+    # seeded points of F_{3^15}, beyond the tables; zero and constant
+    # operands (polynomials, elements, ints) on either side
     rng = random.Random(0)
-    for _ in range(40):
-        f = pl.Poly(F9, [F9.from_key(rng.randrange(9)) for _ in range(4)])
-        g = pl.Poly(F9, [F9.from_key(rng.randrange(9)) for _ in range(3)])
-        for a in F9:
-            assert (f + g)(a) == f(a) + g(a)
-            assert (f * g)(a) == f(a) * g(a)
-            assert (f - g)(a) == f(a) - g(a)
-        assert (f ** 2)(F9.gen) == f(F9.gen) ** 2
+    F9, big = ff.field_create(3, 2), ff.field_create(3, 15)
+    seeded = [big.from_key(rng.randrange(big.q)) for _ in range(4)]
+    for F, rounds, points in ((F9, 40, list(F9)), (big, 4, seeded)):
+        def rand(n):
+            return pl.Poly(F, [F.from_key(rng.randrange(F.q))
+                               for _ in range(n)])
+
+        def value(u, a):
+            if isinstance(u, pl.Poly):
+                return u(a)
+            return F.scalar(u) if isinstance(u, int) else u
+
+        for _ in range(rounds):
+            f = rand(4)
+            c = F.from_key(rng.randrange(1, F.q))
+            operands = (f, rand(3), pl.Poly(F), pl.Poly(F, [c]), c,
+                        F.zero, 0, 2)
+            for u in operands:
+                for v in operands:
+                    if not (isinstance(u, pl.Poly) or isinstance(v, pl.Poly)):
+                        continue
+                    for a in points:
+                        ua, va = value(u, a), value(v, a)
+                        assert (u + v)(a) == ua + va
+                        assert (u * v)(a) == ua * va
+                        assert (u - v)(a) == ua - va
+            for e in (0, 1, 2, 5):
+                for u in operands[:4] + (pl.poly_x(F) * c,):
+                    assert (u ** e)(F.gen) == u(F.gen) ** e
+    # a power of a monomial is built in closed form, with no product
+    counts = [0]
+    for name in ("__mul__", "__rmul__"):
+        def counting(self, other, op=getattr(ff.Fel, name)):
+            counts[0] += 1
+            return op(self, other)
+        monkeypatch.setattr(ff.Fel, name, counting)
+    x = pl.poly_x(big)
+    power = x ** (1 << 20)
+    monkeypatch.undo()
+    assert counts[0] == 0
+    assert power.degree == 1 << 20 and power.lc == big.one
+    assert not any(c.key for c in power.coeffs[:-1])
 
 
 def test_divmod_and_gcd():
