@@ -6,13 +6,14 @@ of post-orbits {B(R(A(x)))} over the source maps A, counts stabilizers,
 partitions the full set of quadratics or cubics over a small field into
 classes, and verifies the partition against closed-form counts.  A
 post-orbit is the set of expressions of one pencil <num, den>, so the
-partition classifies one expression per basepoint-free pencil, checks
-its witness equation once on element codes and counts its members, each
-built once on codes.  FourPoint labels can merge classes, so their
-buckets are split on pencils: the class of a pencil is the set of
-pencils its precompositions span, and its least member is read off each
-pencil's echelon basis.  orbit_of, which lists an orbit's members, is
-the oracle for that split.
+partition walks the basepoint-free pencils once.  It classifies each
+non-FourPoint pencil, checks its witness equation once on element codes
+and counts its members, each built once on codes.  FourPoint labels can
+merge classes, so a FourPoint pencil's class is taken as the set of
+pencils its precompositions span, classified once through its seed and
+skipped thereafter; its least member is read off each pencil's echelon
+basis.  orbit_of, which lists an orbit's members, is the oracle for
+those classes.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ def _pencil_key(ctx, num, den, r):
     return tuple(f), tuple(g)
 
 
-def _least_member(R):
-    """The least-key expression of R's pencil, found without listing
-    the pencil.
+def _least_member(ctx, r, key):
+    """The least-key expression of the pencil of key, a degree-r
+    expression's key, found without listing the pencil.
 
     Keys compare the numerator's codes from x^0 up first.  In the
     reduced echelon basis u1, u2 of the pencil with the columns read
@@ -192,10 +193,8 @@ def _least_member(R):
     is the least numerator.  The denominators that go with it are the
     monic vectors of the other q lines, those of u1 + t u2.
     """
-    ctx = R.ctx
     add, sub, scale, inv = ctx.add, ctx.sub, ctx.scale, ctx.inv
-    r = R.degree
-    u, v = _padded(R.key, r)
+    u, v = _padded(key, r)
     i = next(k for k in range(r + 1) if u[k] or v[k])
     if not u[i]:
         u, v = v, u
@@ -211,52 +210,33 @@ def _least_member(R):
     return _monic_over(ctx, u2, best)
 
 
-def _pencil_orbits(pencils, group):
-    """Split pencils, a dict from _pencils keys to representatives that
-    share one invariant bucket, into classes; group is the list of
-    _pgl2_keys codes.
-
-    The class of a pencil P is the union of the pencils of P(A(x)) over
-    A in the group, the same set as over A^{-1}, so one walk of
-    pair_scan's inverse substitutions (moebius._inverse_walk) finds its
-    pencils, and the class holds q^3 - q expressions per pencil.  Yields
-    (least member, size) per class.
-    """
-    remaining = dict(pencils)
-    while remaining:
-        seed = next(iter(remaining.values()))
-        ctx, r = seed.ctx, seed.degree
-        # the pencil key is read off the codes of seed(A^{-1}(x)) as they
-        # are substituted: the echelon basis is the same for every scale
-        orb = {_pencil_key(ctx, *codes, r) for _, codes
-               in _inverse_walk(seed, group)}
-        if not orb <= remaining.keys():
-            raise AssertionError("orbit of %s leaks out of its invariant "
-                                 "bucket" % (seed,))
-        rep = min((_least_member(remaining.pop(k)) for k in orb),
-                  key=lambda R: R.key)
-        yield rep, len(orb) * len(group)
-
-
 def all_classes(ctx, degree):
     """Partition every degree-2 or degree-3 expression into classes.
 
     Each expression is B(R) for exactly one pencil representative R
     (_pencils) and one B in PGL_2, and all of a pencil's members share
-    R's class, so R alone is classified.  A non-FourPoint pencil gets
+    R's class.  The pencils are walked once, and a pencil already
+    walked is skipped.  A non-FourPoint pencil is classified and gets
     its witness onto the canonical representative T checked once: if
     (B0, A0) maps R onto T, then B0(R) = T(A0), compared on integer
     codes (moebius._fold_key), or AssertionError names the pencil.  The
     members are then E(B0(R)) = E(T(A0)) for E in PGL_2, all in T's
-    class, and the bucket keeps only their count, q^3 - q.  That count
+    class, and the class keeps only their count, q^3 - q.  That count
     already follows from the free post-action; building each member
     once on codes (no substitution, no element made) and requiring
     q^3 - q distinct keys, or AssertionError naming the pencil, is a
     check of the fold kernel, and it goes once partition memory is
-    read at a fixed amount of work (ROADMAP item 1).  A FourPoint bucket
-    keeps its pencils and is split into the orbits of precomposition
-    on pencils (_pencil_orbits), so merged invariants cannot hide
-    distinct classes; a class is represented by its least member, read
+    read at a fixed amount of work (ROADMAP item 1).
+
+    FourPoint labels can merge classes, so a FourPoint pencil's class
+    is its orbit under precomposition: the pencils of R(A(x)) over A,
+    the same set as over A^{-1}, found by one walk of pair_scan's
+    inverse substitutions (moebius._inverse_walk) and marked as walked,
+    so each FourPoint class costs one classify.  Four distinct
+    ramification points are a class invariant, so an orbit holds only
+    FourPoint pencils; one that meets a walked pencil raises
+    AssertionError naming its seed.  The class holds q^3 - q
+    expressions per pencil and is represented by its least member, read
     off each pencil's echelon basis (_least_member).
     """
     if degree not in (2, 3):
@@ -264,11 +244,24 @@ def all_classes(ctx, degree):
     total_expected = _check_scale(ctx, degree)
     group = list(_pgl2_keys(ctx))
     counts = {}
-    buckets = {}
+    orbits = {}
+    walked = set()
     for R in _pencils(ctx, degree):
+        if R.key in walked:
+            continue
         label, witness = classify(R)
         if label.case == "FourPoint":
-            buckets.setdefault(label, {})[R.key] = R
+            # the pencil key is read off the codes of R(A^{-1}(x)) as they
+            # are substituted: the echelon basis is the same for every scale
+            orb = {_pencil_key(ctx, *codes, degree) for _, codes
+                   in _inverse_walk(R, group)}
+            if not walked.isdisjoint(orb):
+                raise AssertionError("orbit of %s meets a walked pencil"
+                                     % (R,))
+            walked |= orb
+            rep = min((_least_member(ctx, degree, k) for k in orb),
+                      key=lambda S: S.key)
+            orbits.setdefault(label, []).append((rep, len(orb) * len(group)))
             continue
         R0 = _fold_key(ctx, witness.B.key, *R.key)
         if R0 != _monic_key(ctx, *_substitute(witness.target,
@@ -280,12 +273,11 @@ def all_classes(ctx, degree):
         counts[label] = counts.get(label, 0) + len(group)
     group_sq = len(group) ** 2
     classes = []
-    for label in sorted(counts.keys() | buckets.keys(), key=_label_sort_key):
+    for label in sorted(counts.keys() | orbits.keys(), key=_label_sort_key):
         if label in counts:
             found = [(canonical_rep(label, ctx), counts[label])]
         else:
-            found = sorted(_pencil_orbits(buckets[label], group),
-                           key=lambda c: c[0].key)
+            found = sorted(orbits[label], key=lambda c: c[0].key)
         for rep, size in found:
             if group_sq % size:
                 raise AssertionError(

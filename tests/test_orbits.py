@@ -33,7 +33,7 @@ def f3_cubic():
 
 @pytest.fixture(scope="module")
 def f7_cubic():
-    # about 2 s and 17 MB
+    # about 1 s
     return ob.all_classes(F7, 3)
 
 
@@ -109,7 +109,7 @@ def test_orbit_of_matches_breadth_first_oracle(f3_cubic):
              rx.expr(F2, (1, 1, 0, 1), (0, 1, 1)),
              rx.expr(F2, (0, 0, 1, 1)),
              rx.expr(F2, (1, 0, 0, 1), (0, 1))]
-    # each F_3 FourPoint bucket is a single class
+    # each F_3 FourPoint label holds a single class
     four = [c["representative"] for c in f3_cubic.classes
             if c["label"].case == "FourPoint"]
     assert len(four) == 3
@@ -243,12 +243,72 @@ def test_all_classes_matches_expression_oracle(ctx, degree):
     assert json.dumps(ob.all_classes(ctx, degree).to_json(ctx)) == want
 
 
+def bucket_oracle(ctx, degree):
+    """all_classes as it was computed before a FourPoint class was
+    taken whole from its seed: every pencil is classified, the FourPoint
+    pencils are bucketed by label, and each bucket is split into orbits
+    of precomposition on pencils.
+
+    An orbit that leaks out of its bucket fails, so every pencil of a
+    FourPoint class is checked to carry the label of the class.
+    """
+    group = list(mb._pgl2_keys(ctx))
+    counts = {}
+    buckets = {}
+    for R in ob._pencils(ctx, degree):
+        label = cl.classify(R)[0]
+        if label.case == "FourPoint":
+            buckets.setdefault(label, {})[R.key] = R
+        else:
+            counts[label] = counts.get(label, 0) + len(group)
+    group_sq = len(group) ** 2
+    classes = []
+    for label in sorted(counts.keys() | buckets.keys(),
+                        key=ob._label_sort_key):
+        if label in counts:
+            found = [(cl.canonical_rep(label, ctx), counts[label])]
+        else:
+            found = []
+            remaining = dict(buckets[label])
+            while remaining:
+                seed = next(iter(remaining.values()))
+                orb = {ob._pencil_key(ctx, *codes, degree) for _, codes
+                       in mb._inverse_walk(seed, group)}
+                assert orb <= remaining.keys(), \
+                    "orbit of %s leaks out of its invariant bucket" % seed
+                for k in orb:
+                    del remaining[k]
+                found.append((min((ob._least_member(ctx, degree, k)
+                                   for k in orb), key=lambda R: R.key),
+                              len(orb) * len(group)))
+            found.sort(key=lambda c: c[0].key)
+        for rep, size in found:
+            classes.append({"representative": rep, "size": size,
+                            "label": label,
+                            "stabilizer_order": group_sq // size})
+    return ob.OrbitReport(ctx.q, degree, classes,
+                          sum(c["size"] for c in classes))
+
+
+@pytest.mark.parametrize("ctx", [F3, F5], ids=["F_3", "F_5"])
+def test_all_classes_matches_bucket_oracle(ctx):
+    want = json.dumps(bucket_oracle(ctx, 3).to_json(ctx))
+    assert json.dumps(ob.all_classes(ctx, 3).to_json(ctx)) == want
+
+
+def test_f7_cubic_matches_bucket_oracle(f7_cubic):
+    # about 2 s: the oracle classifies all 2401 pencils
+    want = json.dumps(bucket_oracle(F7, 3).to_json(F7))
+    assert json.dumps(f7_cubic.to_json(F7)) == want
+
+
 def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
-    # over F_3 one classify per pencil: 1944 cubics / 24 members = 81.
-    # Each of the 33 non-FourPoint pencils folds its representative R
-    # by B0 once, then builds every member M = E(B0(R)) once: one fold
-    # per member, 1944 - 1152 FourPoint members = 792, and no act
-    # outside classify
+    # over F_3 the 33 non-FourPoint pencils are classified one by one,
+    # and the other 48 pencils lie in 3 FourPoint classes whose seeds
+    # alone are classified: 36 classify calls for 81 pencils.  Each
+    # non-FourPoint pencil folds its representative R by B0 once, then
+    # builds every member M = E(B0(R)) once: one fold per member, 1944 -
+    # 1152 FourPoint members = 792, and no act outside classify
     calls = {"classify": 0, "act": 0, "orbit_of": 0}
     folds = []
     inside = []
@@ -283,7 +343,7 @@ def test_all_classes_classifies_pencils_and_checks_members(monkeypatch):
     monkeypatch.setattr(ob, "orbit_of", counted_orbit_of)
     report = ob.all_classes(F3, 3)
     assert report.total == 1944
-    assert calls == {"classify": 81, "act": 0, "orbit_of": 0}
+    assert calls == {"classify": 36, "act": 0, "orbit_of": 0}
     # per pencil: B0(R), then one member per E
     block = 1 + 24
     assert len(folds) == 33 * block
@@ -365,6 +425,35 @@ def test_all_classes_rejects_a_repeated_member(monkeypatch):
     assert len(folds) == 1 + 24
 
 
+def test_all_classes_rejects_an_orbit_that_meets_a_walked_pencil(
+        monkeypatch):
+    # the walk from the second FourPoint seed also yields the first
+    # seed's substitutions, so its orbit meets pencils already walked:
+    # the partition must name that seed and stop before it classifies
+    # another pencil
+    inverse_walk, classify = ob._inverse_walk, ob.classify
+    seeds = []
+    classified = []
+
+    def leaking_walk(R, keys):
+        seeds.append(R)
+        yield from inverse_walk(R, keys)
+        if len(seeds) == 2:
+            yield from inverse_walk(seeds[0], keys)
+
+    def counted_classify(R):
+        classified.append(R)
+        return classify(R)
+
+    monkeypatch.setattr(ob, "_inverse_walk", leaking_walk)
+    monkeypatch.setattr(ob, "classify", counted_classify)
+    with pytest.raises(AssertionError) as info:
+        ob.all_classes(F3, 3)
+    assert str(info.value) == "orbit of %s meets a walked pencil" % seeds[1]
+    assert len(seeds) == 2
+    assert classified[-1] is seeds[1]
+
+
 def test_pencil_key_matches_echelon_oracle():
     rng = random.Random(5)
     for ctx in (F2, F3, F4, F5, F7):
@@ -395,7 +484,8 @@ def test_least_member_matches_pencil_scan():
         group = mb.enumerate_pgl2(R.ctx)
         want = min((mb.post(B, R) for B in group), key=lambda S: S.key)
         for B in [mb.identity(R.ctx)] + rng.sample(group, tries):
-            got = ob._least_member(mb.post(B, R))
+            S = mb.post(B, R)
+            got = ob._least_member(S.ctx, S.degree, S.key)
             assert got.key == want.key and str(got) == str(want), str(R)
 
 
@@ -556,7 +646,9 @@ def test_verify_statements_true():
              (F2, "char2-cubic-counts"), (F2, "class-bound"),
              (F3, "expr-count"), (F3, "quad-counts"), (F3, "class-bound"),
              (F4, "quad-counts"), (F5, "quad-counts"),
-             (F7, "quad-counts"), (F8, "quad-counts"), (F9, "quad-counts")]
+             (F7, "quad-counts"), (F8, "quad-counts"), (F9, "quad-counts"),
+             (F5, "six-counts"), (F7, "six-counts"),
+             (F4, "char2-cubic-counts"), (F5, "class-bound")]
     for ctx, statement in table:
         ok, details = ob.verify_statement(ctx, statement)
         assert ok, (ctx.name, statement, details)
