@@ -23,20 +23,21 @@ candidate alignments of a class in a fixed order and completes the
 first that admits a B.  The further preimage of a double point's branch
 value comes from algebra, not from a search: _fiber_mate divides the
 double root out of the fiber polynomial and reads the mate off the
-linear cofactor, and _split_fibers takes the two-point fibers of a
-separable characteristic-2 quadratic from the quadratic formula, value
-by value, until one aligns.  Conjugate ramification points are aligned
-over F_{q^2}, and the alignment maps are checked to be Frobenius-stable
+linear cofactor.  Conjugate ramification points are aligned over
+F_{q^2}, and the alignment maps are checked to be Frobenius-stable
 rather than assumed, so they descend to F_q.
 
-The single wild points, x^3 + x and x^3 + sigma x in characteristic 3
-and (x^3 + theta^k)/x in characteristic 2, share one reduction
-(_wild_reduction): A0 sends infinity to the wild point, and in
-characteristic 2 also 0 to its fiber mate, and B0 sends the branch value
-to infinity.  One translation and two scalings (_wild_pair) then carry
-the result onto the canonical form; the characteristic-2 scaling is a
-cube root, taken by an exponent or, when 9 divides q - 1, as the least
-root that poly.roots finds.
+The single wild points, x^3 + x and x^3 + sigma x in characteristic 3,
+and (x^3 + theta^k)/x and (x^2 + 1)/x in characteristic 2, share one
+reduction (_wild_reduction): A0 sends infinity to the wild point, and
+for the cubics of characteristic 2 also 0 to its fiber mate, and B0
+sends the branch value to infinity.  One translation and two scalings
+(_wild_pair) then carry the result onto the canonical form; the
+characteristic-2 cubic scaling is a cube root, taken by an exponent or,
+when 9 divides q - 1, as the least root that poly.roots finds.  The
+quadratic reduces onto x^2 + x instead, and so does its canonical form,
+by the same rule, so the witness is the first pair followed by the
+inverse of the second.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ import functools
 import math
 import weakref
 
-from .ffield import (_artin_schreier_root, canonical_sigma, canonical_theta,
-                     embed, extend, is_square, sqrt)
+from .ffield import (canonical_sigma, canonical_theta, embed, extend,
+                     is_square, sqrt)
 from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       map_triple, pair_identity, pair_scan, post, precompose,
                       solve_post, three_point_map)
 from .poly import (Poly, _distinct_degree_split, _synthetic_div,
-                   irreducible_factors, poly_x, root_of_irreducible, roots)
+                   irreducible_factors, root_of_irreducible, roots)
 from .ramify import _profile, ramification_profile, wronskian
 from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
@@ -572,43 +573,29 @@ def _witness_char2_iv(R, prof):
     return k, _wild_pair(A0, B0, ctx.one / (a3 * s * s), a1, s)
 
 
-def _witness_quad_sep_char2(R, prof, T):
-    """Witness onto (x^2+1)/x (separable quadratic, char 2).
+def _sep_char2_pair(R, pt):
+    """The pair onto x^2 + x of a separable quadratic R in characteristic
+    2, whose single wild point is pt; R's witness onto (x^2+1)/x is this
+    pair followed by _canonical_sep_char2_pair.
 
-    The single ramification point goes to 1; a two-point fiber off the
-    branch value supplies the pair sent to {0, infinity}.
+    _wild_reduction leaves c2 x^2 + c1 x + c0, where c1 != 0 as R is
+    separable; the shift by c0 and the scalings x -> (c1/c2) x and
+    y -> (c2/c1^2) y carry it onto x^2 + x.
     """
-    P, Q = prof.points[0].point, prof.points[0].branch
-    src = (R.ctx.one, R.ctx.zero, INF)
-    return _align(R, T, ((src, (P, u, w)) for pts in _split_fibers(R, Q)
-                         for u, w in (pts, pts[::-1])))
+    A0, B0, C0 = _wild_reduction(R, pt)
+    c0, c1, c2 = (C0.num.coeff(i) for i in range(3))
+    if not c1.key:
+        raise AssertionError("unexpected normal form %s" % C0)
+    return _wild_pair(A0, B0, c2 / (c1 * c1), c0, c1 / c2)
 
 
-def _split_fibers(R, Q):
-    """The two-point fibers of a separable quadratic R in characteristic
-    2, lazily, by value in P^1 order, skipping the branch value Q; each
-    fiber is a pair of points in P^1 order.
-
-    The fiber over v is the roots of f = R.fiber(v), joined by infinity
-    when f has degree 1; its root is then f0/f1, as -1 = 1.  Off Q a
-    quadratic f is a multiple of x^2 + bx + c with no double root, so
-    b != 0, and it splits exactly when y = c/b^2 has trace 0, into
-    u = b z and u + b for z^2 + z = y.
-    """
-    for v in proj_points(R.ctx):
-        if proj_key(v) == proj_key(Q):
-            continue
-        f0, f1, f2 = map(R.fiber(v).coeff, range(3))
-        if not f2.key:
-            yield INF, f0 / f1
-            continue
-        b = f1 / f2
-        y = f0 / (f2 * b * b)
-        try:
-            u = b * _artin_schreier_root(y)
-        except ValueError:  # trace 1: the fiber has no points over F_q
-            continue
-        yield tuple(sorted((u, u + b), key=lambda z: z.key))
+@functools.lru_cache(maxsize=None)
+def _canonical_sep_char2_pair(ctx):
+    """The inverse of _sep_char2_pair for (x^2+1)/x, read off the
+    canonical form by the same rule.  Cached per field like
+    canonical_rep."""
+    T = canonical_rep(ClassLabel("Quad_SepChar2"), ctx)
+    return _sep_char2_pair(T, ramification_profile(T).points[0]).inverse()
 
 
 def _char2_double_label(triples, em):
@@ -662,16 +649,6 @@ def _mod_quadratic(coeffs, e1, e0):
     return u, v
 
 
-def _moved_factor(f, w):
-    """The monic polynomial whose roots are the 1/(r - w) for the roots
-    r of f, where f(w) != 0: the reversal of f(x + w)."""
-    shift = Poly(f.ctx, (w, f.ctx.one))
-    g = Poly(f.ctx, ())
-    for c in reversed(f.coeffs):
-        g = g * shift + c
-    return Poly(f.ctx, g.coeffs[::-1]).monic()
-
-
 def _pair_values(num, den, e1, e0):
     """(alpha, b + b', b b') for the roots r, r' of x^2 + e1 x + e0 and
     their finite values b, b' under num/den.
@@ -718,7 +695,8 @@ def _four_point_label(R, W, factors):
 
     Fixed Moebius maps move infinity off the ramification points and
     off their branch values, which changes no cross-ratio; only rational
-    points can sit at infinity or map there.  Then W = x^4 + a x^3 +
+    points can sit at infinity or map there, and after the first move W
+    is recomputed and factored again.  Then W = x^4 + a x^3 +
     b x^2 + c x + d has roots r1..r4, and the pairing sums
     theta_{12|34} = r1 r2 + r3 r4, theta_{13|24} and theta_{14|23} are
     the roots of the resolvent y^3 - b y^2 + (ac - 4d) y -
@@ -747,12 +725,12 @@ def _four_point_label(R, W, factors):
                                  if u.degree == 1]
     branches = [R(P) for P in rational]
     if at_inf:
-        # A(x) = w + 1/x sends 0 to infinity and 1/(r - w) to each root
-        # r of W
+        # A(x) = w + 1/x sends 0 to infinity and infinity to a point w
+        # that is not ramified
         w = _first_points(ctx, rational, 1)[0]
         R = precompose(R, Moebius(ctx, w, ctx.one, ctx.one, ctx.zero))
         W = wronskian(R)
-        factors = [poly_x(ctx)] + [_moved_factor(u, w) for u in factors]
+        factors = [u for u, _ in irreducible_factors(W)]
     if INF in branches:
         v = _first_points(ctx, branches, 1)[0]
         R = post(Moebius(ctx, ctx.zero, ctx.one, ctx.one, -v), R)
@@ -858,9 +836,9 @@ def classify(R):
     Cubics with four ramification points, recognized from the factored
     Wronskian, get a FourPoint label built from cross-ratio invariants
     and no witness; every other class is read off the ramification
-    profile.  The separable
-    characteristic-2 quadratic and the single wild points of
-    characteristics 2 and 3 have witnesses of their own; every other
+    profile.  The single wild points of characteristics 2 and 3, the
+    separable characteristic-2 quadratic among them, are moved to
+    infinity and scaled (_wild_reduction, _wild_pair); every other
     class aligns R's distinguished points (_distinguished) with those of
     its canonical form (_canonical_triple), over F_{q^2} when they are
     conjugate.  Each witness maps R onto canonical_rep(label, R.ctx) and
@@ -883,7 +861,8 @@ def classify(R):
     idx = prof.indices
     if r == 2 and p == 2:
         label = ClassLabel("Quad_SepChar2")
-        pair = _witness_quad_sep_char2(R, prof, canonical_rep(label, ctx))
+        pair = _canonical_sep_char2_pair(ctx).compose(
+            _sep_char2_pair(R, prof.points[0]))
     elif idx == (3,):
         case, pair = _witness_char3_wild(R, prof)
         label = ClassLabel(case)

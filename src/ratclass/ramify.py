@@ -184,9 +184,9 @@ def hurwitz_check(R):
     with the numeric comparison; either disagreement raises
     AssertionError.
     """
-    if not is_separable(R):
-        raise ValueError("the inequality concerns separable expressions")
     prof = ramification_profile(R)
+    if not prof.separable:
+        raise ValueError("the inequality concerns separable expressions")
     ctx = R.ctx
     for pt in prof.points:
         d = pt.defining_degree
