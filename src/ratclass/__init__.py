@@ -11,9 +11,9 @@ as text for parse_expression, and Moebius maps act through act.
 """
 
 from .classify import (CASES, ClassLabel, Witness, are_equivalent,
-                       canonical_rep, canonical_two_point, classify,
-                       family_Rc, four_point_invariants, label_json,
-                       lambda_mu_of_c, lambda_mu_relation)
+                       canonical_rep, classify, family_Rc,
+                       four_point_invariants, label_json, lambda_mu_of_c,
+                       lambda_mu_relation)
 from .ffield import (DESK_SCALE_BOUND, Embedding, Fel, FieldCtx,
                      ScaleLimitError, canonical_sigma, canonical_tau,
                      canonical_theta, degree_over, embed, extend,
@@ -37,9 +37,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CASES", "ClassLabel", "Witness", "are_equivalent", "canonical_rep",
-    "canonical_two_point", "classify", "family_Rc",
-    "four_point_invariants", "label_json", "lambda_mu_of_c",
-    "lambda_mu_relation",
+    "classify", "family_Rc", "four_point_invariants", "label_json",
+    "lambda_mu_of_c", "lambda_mu_relation",
     "DESK_SCALE_BOUND", "Embedding", "Fel", "FieldCtx", "ScaleLimitError",
     "canonical_sigma", "canonical_tau", "canonical_theta", "degree_over",
     "embed", "extend", "field_create", "frobenius", "is_square", "sqrt",

@@ -4,11 +4,14 @@ Two expressions R and R2 are equivalent when some pair of Moebius
 transformations satisfies B(R(A^{-1}(x))) = R2(x).  This module names
 the class of a given quadratic or cubic expression, produces the
 canonical representative of that class, and constructs an exact
-witnessing pair.  Classes with at most three ramification points have
-one canonical representative per characteristic; cubics with four
-ramification points are named by cross-ratio invariants instead, read
-off the resolvent cubic of the Wronskian without computing a point, and
-carry no witness.
+witnessing pair.  The paper's list of named classes is one table,
+CLASS_TABLE, one row per class tag; CASES, the parameter names of a
+label, canonical_rep, the profile lookup in classify and the class
+sizes that orbits.verify_statement checks all read it.  Classes with at
+most three ramification points have one canonical representative per
+characteristic; cubics with four ramification points are named by
+cross-ratio invariants instead, read off the resolvent cubic of the
+Wronskian without computing a point, and carry no witness.
 
 Witness construction mirrors the structure of each class: a source-side
 transformation A aligns distinguished points (ramification points,
@@ -42,6 +45,7 @@ inverse of the second.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import weakref
@@ -54,33 +58,80 @@ from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
 from .poly import (Poly, _distinct_degree_split, _synthetic_div,
                    irreducible_factors, root_of_irreducible, roots)
 from .ramify import _profile, ramification_profile, wronskian
-from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
+from .ratexpr import INF, expr, proj_key, proj_points, proj_str
 
 
-CASES = (
-    "Quad_X2", "Quad_TwoPointTwist", "Quad_X2_Insep", "Quad_SepChar2",
-    "Cubic_X3", "Cubic_TwoPointTwist", "Cubic_Dickson", "Cubic_DicksonTwist",
-    "Cubic3_X3_Insep", "Cubic3_X3X2", "Cubic3_X3X", "Cubic3_X3SigmaX",
-    "Cubic2_i", "Cubic2_ii", "Cubic2_iii", "Cubic2_iv", "Cubic2_v",
-    "Cubic2_vi", "FourPoint",
-)
+# The paper's classification, one row per class tag, FourPoint last.  A
+# row holds the tag and the degree; the values of min(p, 5) at which the
+# class exists; the sorted names of its parameters; its canonical form,
+# a function of (sigma, v) that gives the numerator and denominator
+# coefficients, v being theta^k for Cubic2_iv, the parameter c or b for
+# Cubic2_v / Cubic2_vi and None otherwise; when the ramification profile
+# alone names the class, its indices and whether the points are a
+# conjugate pair (an inseparable class has no points); and, as functions
+# of q, the order of the stabilizer of the form in PGL_2 x PGL_2 and the
+# number of classes with the tag.
+_Row = collections.namedtuple(
+    "_Row", "tag degree chars form profile stab count params",
+    defaults=(lambda q: 1, ()))
+
+CLASS_TABLE = {row.tag: row for row in (
+    _Row("Quad_X2", 2, (3, 5), lambda s, v: ((0, 0, 1), (1,)),
+         ((2, 2), False), lambda q: 2 * (q - 1)),
+    _Row("Quad_TwoPointTwist", 2, (3, 5), lambda s, v: ((s, 0, 1), (0, 2)),
+         ((2, 2), True), lambda q: 2 * (q + 1)),
+    _Row("Quad_X2_Insep", 2, (2,), lambda s, v: ((0, 0, 1), (1,)),
+         ((), False), lambda q: q ** 3 - q),
+    _Row("Quad_SepChar2", 2, (2,), lambda s, v: ((1, 0, 1), (0, 1)),
+         None, lambda q: q),
+    _Row("Cubic_X3", 3, (5,), lambda s, v: ((0, 0, 0, 1), (1,)),
+         ((3, 3), False), lambda q: 2 * (q - 1)),
+    _Row("Cubic_TwoPointTwist", 3, (5,),
+         lambda s, v: ((0, 3 * s, 0, 1), (s, 0, 3)),
+         ((3, 3), True), lambda q: 2 * (q + 1)),
+    _Row("Cubic_Dickson", 3, (5,), lambda s, v: ((0, -3, 0, 1), (1,)),
+         ((2, 2, 3), False), lambda q: 2),
+    _Row("Cubic_DicksonTwist", 3, (5,),
+         lambda s, v: ((0, -3 * s, 0, 1), (1,)),
+         ((2, 2, 3), True), lambda q: 2),
+    _Row("Cubic3_X3_Insep", 3, (3,), lambda s, v: ((0, 0, 0, 1), (1,)),
+         ((), False), lambda q: q ** 3 - q),
+    _Row("Cubic3_X3X2", 3, (3,), lambda s, v: ((0, 0, 1, 1), (1,)),
+         ((2, 3), False), lambda q: 1),
+    _Row("Cubic3_X3X", 3, (3,), lambda s, v: ((0, 1, 0, 1), (1,)),
+         None, lambda q: 2 * q),
+    _Row("Cubic3_X3SigmaX", 3, (3,), lambda s, v: ((0, s, 0, 1), (1,)),
+         None, lambda q: 2 * q),
+    _Row("Cubic2_i", 3, (2,), lambda s, v: ((0, 0, 0, 1), (1,)),
+         ((3, 3), False), lambda q: 2 * (q - 1)),
+    _Row("Cubic2_ii", 3, (2,), lambda s, v: ((s, s, 0, 1), (s + 1, 1, 1)),
+         ((3, 3), True), lambda q: 2 * (q + 1)),
+    _Row("Cubic2_iii", 3, (2,), lambda s, v: ((0, 0, 1, 1), (1,)),
+         ((2, 3), False), lambda q: 1),
+    # one class per cubic residue class of theta^k
+    _Row("Cubic2_iv", 3, (2,), lambda s, v: ((v, 0, 0, 1), (0, 1)),
+         None, lambda q: math.gcd(3, q - 1), lambda q: math.gcd(3, q - 1),
+         ("k",)),
+    _Row("Cubic2_v", 3, (2,), lambda s, v: ((v, 0, 0, 1), (v, 1)),
+         None, lambda q: 2, lambda q: q - 2, ("c",)),
+    _Row("Cubic2_vi", 3, (2,),
+         lambda s, v: (((v + 1) * s, s, v, 1), (v + 1 + s, 1, 1)),
+         None, lambda q: 2, lambda q: q - 2, ("b",)),
+    _Row("FourPoint", 3, (3, 5), None, None, None, None,
+         ("lambda", "mu", "mu_alt", "pattern")),
+)}
+
+CASES = tuple(CLASS_TABLE)
 
 
 _LABELS = weakref.WeakValueDictionary()
-# the sorted parameter names of each case that takes any, one shared
-# tuple per case
-_PARAM_NAMES = {
-    "Cubic2_iv": ("k",),
-    "Cubic2_v": ("c",),
-    "Cubic2_vi": ("b",),
-    "FourPoint": ("lambda", "mu", "mu_alt", "pattern"),
-}
 
 
 class ClassLabel:
     """A named equivalence class together with its parameters.
 
-    case is one of the tags in CASES.  params carries whatever
+    case is one of the tags in CASES, a row of CLASS_TABLE, and the
+    row names the parameters the case takes.  params carries whatever
     distinguishes classes sharing a tag: the theta-power k for
     Cubic2_iv, the field parameter c or b for Cubic2_v / Cubic2_vi, and
     for FourPoint the invariants lambda, mu, mu_alt and the pattern of
@@ -98,7 +149,7 @@ class ClassLabel:
         if case not in CASES:
             raise ValueError("unknown class tag %r" % (case,))
         items = sorted((params or {}).items())
-        names = _PARAM_NAMES.get(case, ())
+        names = CLASS_TABLE[case].params
         given = tuple(k for k, _ in items)
         if given != names:
             raise ValueError("class %s takes parameters (%s), not (%s)"
@@ -171,118 +222,30 @@ class Witness:
 def canonical_rep(label, ctx):
     """The canonical representative of a class over ctx.
 
-    Uses the canonical sigma and theta of the field.  FourPoint labels
-    have no canonical representative and raise ValueError, as does a
-    label that does not fit the characteristic of ctx.  Cached per
-    (label, field), so every witness onto one class shares its target.
+    Evaluates the form of the label's CLASS_TABLE row at the canonical
+    sigma and theta of the field.  FourPoint labels have no canonical
+    representative and raise ValueError, as does a label that does not
+    fit the characteristic of ctx, a k outside {0, 1, 2} or a nonzero k
+    where 3 does not divide q - 1, and a c or b in F_2 or outside ctx.
+    Cached per (label, field), so every witness onto one class shares
+    its target.
     """
-    case = label.case
-    p = ctx.p
+    row = CLASS_TABLE[label.case]
+    if row.form is None:
+        raise ValueError("four-point classes have no canonical representative")
 
     def need(cond):
         if not cond:
-            raise ValueError("label %s does not fit %s" % (case, ctx.name))
+            raise ValueError("label %s does not fit %s" % (row.tag, ctx.name))
 
-    if case == "Quad_X2":
-        need(p != 2)
-        return expr(ctx, (0, 0, 1))
-    if case == "Quad_TwoPointTwist":
-        need(p != 2)
-        return canonical_two_point(2, True, ctx)
-    if case == "Quad_X2_Insep":
-        need(p == 2)
-        return expr(ctx, (0, 0, 1))
-    if case == "Quad_SepChar2":
-        need(p == 2)
-        return expr(ctx, (1, 0, 1), (0, 1))
-    if case == "Cubic_X3":
-        need(p >= 5)
-        return expr(ctx, (0, 0, 0, 1))
-    if case == "Cubic_TwoPointTwist":
-        need(p >= 5)
-        return canonical_two_point(3, True, ctx)
-    if case == "Cubic_Dickson":
-        need(p >= 5)
-        return expr(ctx, (0, -3, 0, 1))
-    if case == "Cubic_DicksonTwist":
-        need(p >= 5)
-        sig = canonical_sigma(ctx)
-        return expr(ctx, (ctx.zero, -(ctx.scalar(3) * sig), ctx.zero, ctx.one))
-    if case == "Cubic3_X3_Insep":
-        need(p == 3)
-        return expr(ctx, (0, 0, 0, 1))
-    if case == "Cubic3_X3X2":
-        need(p == 3)
-        return expr(ctx, (0, 0, 1, 1))
-    if case == "Cubic3_X3X":
-        need(p == 3)
-        return expr(ctx, (0, 1, 0, 1))
-    if case == "Cubic3_X3SigmaX":
-        need(p == 3)
-        return expr(ctx, (ctx.zero, canonical_sigma(ctx), ctx.zero, ctx.one))
-    if case == "Cubic2_i":
-        need(p == 2)
-        return expr(ctx, (0, 0, 0, 1))
-    if case == "Cubic2_ii":
-        need(p == 2)
-        sig = canonical_sigma(ctx)
-        return expr(ctx, (sig, sig, ctx.zero, ctx.one),
-                    (sig + ctx.one, ctx.one, ctx.one))
-    if case == "Cubic2_iii":
-        need(p == 2)
-        return expr(ctx, (0, 0, 1, 1))
-    if case == "Cubic2_iv":
-        need(p == 2)
-        k = label.param("k")
-        need(k in (0, 1, 2))
-        if k == 0:
-            const = ctx.one
-        else:
-            need((ctx.q - 1) % 3 == 0)
-            const = canonical_theta(ctx) ** k
-        return expr(ctx, (const, ctx.zero, ctx.zero, ctx.one), (0, 1))
-    if case == "Cubic2_v":
-        need(p == 2)
-        c = label.param("c")
-        need(c.ctx is ctx and c * c != c)
-        return expr(ctx, (c, ctx.zero, ctx.zero, ctx.one), (c, ctx.one))
-    if case == "Cubic2_vi":
-        need(p == 2)
-        b = label.param("b")
-        need(b.ctx is ctx and b * b != b)
-        sig = canonical_sigma(ctx)
-        one = ctx.one
-        return expr(ctx, ((b + one) * sig, sig, b, one),
-                    (b + one + sig, one, one))
-    if case == "FourPoint":
-        raise ValueError("four-point classes have no canonical representative")
-    raise AssertionError("unhandled tag " + case)
-
-
-def canonical_two_point(r, twist, ctx):
-    """The canonical degree-r expression ramified at the conjugate pair
-    +-tau, or x^r for the untwisted class ramified at infinity and 0.
-
-    The twisted form has numerator sum_h C(r,2h) x^(r-2h) sigma^h over
-    denominator sum_h C(r,2h+1) x^(r-2h-1) sigma^h.  Odd characteristic
-    not dividing r only.
-    """
-    if r < 2:
-        raise ValueError("the two-point family starts at degree 2")
-    if ctx.p == 2 or r % ctx.p == 0:
-        raise ValueError("needs odd characteristic not dividing %d" % r)
-    if not twist:
-        return expr(ctx, (0,) * r + (1,))
-    sig = canonical_sigma(ctx)
-    num = [ctx.zero] * (r + 1)
-    den = [ctx.zero] * r
-    sh = ctx.one
-    for h in range(r // 2 + 1):
-        num[r - 2 * h] = ctx.scalar(math.comb(r, 2 * h)) * sh
-        if 2 * h + 1 <= r:
-            den[r - 2 * h - 1] = ctx.scalar(math.comb(r, 2 * h + 1)) * sh
-        sh = sh * sig
-    return RatExpr(Poly(ctx, tuple(num)), Poly(ctx, tuple(den)))
+    need(min(ctx.p, 5) in row.chars)
+    v = label._values[0] if label._values else None
+    if row.params == ("k",):
+        need(v in (0, 1, 2) and (v == 0 or (ctx.q - 1) % 3 == 0))
+        v = ctx.one if v == 0 else canonical_theta(ctx) ** v
+    elif v is not None:
+        need(v.ctx is ctx and v * v != v)
+    return expr(ctx, *row.form(canonical_sigma(ctx), v))
 
 
 def family_Rc(c):
@@ -819,14 +782,11 @@ def four_point_invariants(R):
 # classification
 
 
-# the classes of two points of equal index, rational or a conjugate
-# pair, by degree and min(p, 5)
-_TWO_POINT = {
-    (2, 3): ("Quad_X2", "Quad_TwoPointTwist"),
-    (2, 5): ("Quad_X2", "Quad_TwoPointTwist"),
-    (3, 2): ("Cubic2_i", "Cubic2_ii"),
-    (3, 5): ("Cubic_X3", "Cubic_TwoPointTwist"),
-}
+# the labels that the ramification profile alone names, by degree,
+# min(p, 5), indices and whether the points are a conjugate pair
+_BY_PROFILE = {(row.degree, c, *row.profile): ClassLabel(row.tag)
+               for row in CLASS_TABLE.values() if row.profile
+               for c in row.chars}
 
 
 def classify(R):
@@ -836,13 +796,15 @@ def classify(R):
     Cubics with four ramification points, recognized from the factored
     Wronskian, get a FourPoint label built from cross-ratio invariants
     and no witness; every other class is read off the ramification
-    profile.  The single wild points of characteristics 2 and 3, the
-    separable characteristic-2 quadratic among them, are moved to
-    infinity and scaled (_wild_reduction, _wild_pair); every other
-    class aligns R's distinguished points (_distinguished) with those of
-    its canonical form (_canonical_triple), over F_{q^2} when they are
-    conjugate.  Each witness maps R onto canonical_rep(label, R.ctx) and
-    is verified exactly.
+    profile, by one lookup (_BY_PROFILE, built from CLASS_TABLE) where
+    the profile alone names the class.  The single wild points of
+    characteristics 2 and 3, the separable characteristic-2 quadratic
+    among them, are moved to infinity and scaled (_wild_reduction,
+    _wild_pair); every other class aligns R's distinguished points
+    (_distinguished) with those of its canonical form
+    (_canonical_triple), over F_{q^2} when they are conjugate.  Each
+    witness maps R onto canonical_rep(label, R.ctx) and is verified
+    exactly.
     """
     r = R.degree
     if r not in (2, 3):
@@ -851,7 +813,7 @@ def classify(R):
     p = ctx.p
     W = wronskian(R)
     if W.is_zero:  # inseparable, so p = r
-        label = ClassLabel("Quad_X2_Insep" if p == 2 else "Cubic3_X3_Insep")
+        label = _BY_PROFILE[r, p, (), False]
         return label, Witness(_witness_power_insep(R, r), R,
                               canonical_rep(label, ctx))
     factors = irreducible_factors(W)
@@ -873,17 +835,12 @@ def classify(R):
         conj = prof.points[-1].defining_degree > 1
         em = extend(ctx, 2)[1] if conj else None
         triples = _distinguished(R, prof)
-        if idx == (2, 3):
-            label = ClassLabel("Cubic3_X3X2" if p == 3 else "Cubic2_iii")
-        elif idx == (2, 2, 3):
-            label = ClassLabel("Cubic_DicksonTwist" if conj
-                               else "Cubic_Dickson")
-        elif r == 3 and idx == (2, 2):
+        if r == 3 and idx == (2, 2):
             label = _char2_double_label(triples, em)
-        elif idx == (r, r):
-            label = ClassLabel(_TWO_POINT[r, min(p, 5)][conj])
         else:
-            raise AssertionError("impossible profile %s" % (idx,))
+            label = _BY_PROFILE.get((r, min(p, 5), idx, conj))
+            if label is None:
+                raise AssertionError("impossible profile %s" % (idx,))
         src = _canonical_triple(label, ctx)
         pair = _align(R, canonical_rep(label, ctx),
                       ((src, dst) for dst in triples), em)

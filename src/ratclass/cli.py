@@ -21,7 +21,7 @@ from .ffield import (_prime_factors, check_desk_scale, check_power_scale,
                      field_create)
 from .orbits import STATEMENTS, all_classes, verify_statement
 from .parse import ParseError, parse_expression
-from .ramify import hurwitz_check, ramification_profile
+from .ramify import _hurwitz, ramification_profile
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -115,7 +115,7 @@ def cmd_classify(args, ctx):
 def cmd_ramify(args, ctx):
     R = parse_expression(args.expression, ctx, require_map=True)
     prof = ramification_profile(R)
-    hurwitz = hurwitz_check(R) if prof.separable else None
+    hurwitz = _hurwitz(R, prof) if prof.separable else None
     if args.json:
         _emit(args, {"field": ctx.name, "expression": str(R),
                      "separable": prof.separable,

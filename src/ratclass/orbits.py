@@ -4,23 +4,25 @@ The group PGL_2(F_q) x PGL_2(F_q) acts on degree-r expressions by
 (B, A) . R = B(R(A^{-1}(x))).  This module enumerates orbits as unions
 of post-orbits {B(R(A(x)))} over the source maps A, counts stabilizers,
 partitions the full set of quadratics or cubics over a small field into
-classes, and verifies the partition against closed-form counts.  A
-post-orbit is the set of expressions of one pencil <num, den>, so the
-partition walks the basepoint-free pencils once.  It classifies each
-non-FourPoint pencil, checks its witness equation once on element codes
-and counts its members, each built once on codes.  FourPoint labels can
-merge classes, so a FourPoint pencil's class is taken as the set of
-pencils its precompositions span, classified once through its seed and
-skipped thereafter; its least member is read off each pencil's echelon
-basis.  orbit_of, which lists an orbit's members, is the oracle for
-those classes.
+classes, and verifies the partition against closed-form counts, the
+class sizes among them read off classify.CLASS_TABLE.  A post-orbit is
+the set of expressions of one pencil <num, den>, so the partition walks
+the basepoint-free pencils once.  It classifies each non-FourPoint
+pencil, checks its witness equation once on element codes and counts
+its members, each built once on codes.  FourPoint labels can merge
+classes, so a FourPoint pencil's class is taken as the set of pencils
+its precompositions span, classified once through its seed and skipped
+thereafter; its least member is read off each pencil's echelon basis.
+orbit_of, which lists an orbit's members, is the oracle for those
+classes.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .classify import CASES, canonical_rep, classify, label_json
+from .classify import (CASES, CLASS_TABLE, canonical_rep, classify,
+                       label_json)
 from .ffield import check_desk_scale
 from .moebius import (_fold_key, _inverse_walk, _monic_key, _monic_over,
                       _padded, _pgl2_keys, _substitute, _trimmed,
@@ -292,29 +294,23 @@ def all_classes(ctx, degree):
     return OrbitReport(ctx.q, degree, classes, total)
 
 
-def _expected_quad_sizes(q, p):
+def _expected_sizes(q, p, degree):
+    """The closed-form sizes of the named classes of one degree over
+    F_q by tag: (q^3 - q)^2 / stab(q) for each of the count(q) classes
+    of a CLASS_TABLE row in characteristic p, leaving out zero counts."""
     group_sq = (q ** 3 - q) ** 2
-    if p == 2:
-        return sorted([q * (q * q - 1), q * (q * q - 1) ** 2])
-    return sorted([group_sq // (2 * (q - 1)), group_sq // (2 * (q + 1))])
+    return {row.tag: [group_sq // row.stab(q)] * row.count(q)
+            for row in CLASS_TABLE.values()
+            if row.degree == degree and row.stab and min(p, 5) in row.chars
+            and row.count(q)}
+
+
+def _expected_quad_sizes(q, p):
+    return sorted(sum(_expected_sizes(q, p, 2).values(), []))
 
 
 def _expected_char2_cubic(q):
-    base = q * q * (q * q - 1) ** 2
-    group_sq = (q ** 3 - q) ** 2
-    expected = {
-        "Cubic2_i": [group_sq // (2 * (q - 1))],
-        "Cubic2_ii": [group_sq // (2 * (q + 1))],
-        "Cubic2_iii": [base],
-    }
-    if (q - 1) % 3 == 0:
-        expected["Cubic2_iv"] = [base // 3] * 3
-    else:
-        expected["Cubic2_iv"] = [base]
-    if q > 2:
-        expected["Cubic2_v"] = [base // 2] * (q - 2)
-        expected["Cubic2_vi"] = [base // 2] * (q - 2)
-    return expected
+    return _expected_sizes(q, 2, 3)
 
 
 def verify_statement(ctx, statement):
@@ -324,7 +320,6 @@ def verify_statement(ctx, statement):
     the expected and the observed side.
     """
     q = ctx.q
-    group_sq = (q ** 3 - q) ** 2
     if statement == "expr-count":
         details = {"statement": statement, "q": q, "degrees": {}}
         ok = True
@@ -365,12 +360,7 @@ def verify_statement(ctx, statement):
         if ctx.p < 5:
             raise ValueError("statement needs characteristic at least 5")
         report = all_classes(ctx, 3)
-        expected = {
-            "Cubic_X3": [group_sq // (2 * (q - 1))],
-            "Cubic_TwoPointTwist": [group_sq // (2 * (q + 1))],
-            "Cubic_Dickson": [group_sq // 2],
-            "Cubic_DicksonTwist": [group_sq // 2],
-        }
+        expected = _expected_sizes(q, ctx.p, 3)
         observed = report.sizes_by_case()
         four = observed.pop("FourPoint", [])
         named_total = q * q * (q - 1) * (q + 1) * (q * q + q - 1)

@@ -184,7 +184,11 @@ def hurwitz_check(R):
     with the numeric comparison; either disagreement raises
     AssertionError.
     """
-    prof = ramification_profile(R)
+    return _hurwitz(R, ramification_profile(R))
+
+
+def _hurwitz(R, prof):
+    """hurwitz_check for a caller that has R's profile."""
     if not prof.separable:
         raise ValueError("the inequality concerns separable expressions")
     ctx = R.ctx

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import math
@@ -7,6 +8,7 @@ import pytest
 
 import ratclass.ffield as ff
 import ratclass.moebius as mb
+import ratclass.orbits as ob
 import ratclass.poly as pl
 import ratclass.ramify as rm
 import ratclass.ratexpr as rx
@@ -99,7 +101,40 @@ def test_witness_checks_its_pair():
         cl.Witness(bad, R, T)
 
 
+def canonical_rep_texts():
+    """str(canonical_rep(label, ctx)) for every label over F_2..F_9, F_16,
+    F_27 and F_64, a parameter c or b running over the whole field, and
+    over F_{2^18} for the first eight parameters outside F_2 by code; a
+    refusal is kept as its message."""
+    for ctx in (F2, F3, F4, F5, F7, F8, F9, F16, ff.field_create(3, 3), F64,
+                ff.field_create(2, 18)):
+        values = (list(ctx) if ctx.q <= 64
+                  else [ctx.from_key(i) for i in range(2, 10)])
+        for case in cl.CASES[:-1]:
+            if case == "Cubic2_iv":
+                params = [{"k": k} for k in (0, 1, 2)]
+            elif case in ("Cubic2_v", "Cubic2_vi"):
+                name = "c" if case == "Cubic2_v" else "b"
+                params = [{name: v} for v in values]
+            else:
+                params = [None]
+            for ps in params:
+                label = cl.ClassLabel(case, ps)
+                try:
+                    text = str(cl.canonical_rep(label, ctx))
+                except ValueError as e:
+                    text = "refused: %s" % e
+                yield " ".join([ctx.name, case]
+                               + ["%s=%s" % kv for kv in label.params]
+                               + [text])
+
+
 def test_canonical_reps_frozen():
+    # the digest was recorded before canonical_rep read its forms from
+    # CLASS_TABLE
+    texts = "\n".join(canonical_rep_texts()).encode()
+    assert hashlib.sha256(texts).hexdigest() == (
+        "82ec3a95047ff347e9d6acaa2964a629a5fe83085ab6b2c77a1518d904969451")
     assert cl.canonical_rep(cl.ClassLabel("Quad_X2"), F5) == rx.expr(
         F5, (0, 0, 1))
     assert cl.canonical_rep(cl.ClassLabel("Quad_TwoPointTwist"), F5) == \
@@ -127,6 +162,10 @@ def test_canonical_rep_rejects_wrong_field():
     with pytest.raises(ValueError):
         cl.canonical_rep(cl.ClassLabel("Cubic_X3"), F3)
     with pytest.raises(ValueError):
+        cl.canonical_rep(cl.ClassLabel("Quad_TwoPointTwist"), F2)
+    with pytest.raises(ValueError):
+        cl.canonical_rep(cl.ClassLabel("Cubic_TwoPointTwist"), F3)
+    with pytest.raises(ValueError):
         cl.canonical_rep(cl.ClassLabel("Quad_X2"), F4)
     with pytest.raises(ValueError):
         cl.canonical_rep(cl.ClassLabel("Cubic2_i"), F7)
@@ -140,21 +179,41 @@ def test_canonical_rep_rejects_wrong_field():
         cl.canonical_rep(four, F5)
 
 
-def test_canonical_two_point_ramifies_at_conjugate_pair():
-    for ctx, r in ((F5, 2), (F5, 3), (F7, 2), (F7, 3), (F9, 2), (F13, 3)):
-        T = cl.canonical_two_point(r, True, ctx)
+def test_two_point_twists_ramify_at_conjugate_pair():
+    for ctx, case in ((F5, "Quad_TwoPointTwist"), (F5, "Cubic_TwoPointTwist"),
+                      (F7, "Quad_TwoPointTwist"), (F7, "Cubic_TwoPointTwist"),
+                      (F9, "Quad_TwoPointTwist"),
+                      (F13, "Cubic_TwoPointTwist")):
+        T = cl.canonical_rep(cl.ClassLabel(case), ctx)
         prof = rm.ramification_profile(T)
         assert [p.defining_degree for p in prof.points] == [2, 2]
         tau = ff.canonical_tau(ctx)
         pts = {rx.proj_key(p.point) for p in prof.points}
         assert pts == {rx.proj_key(tau), rx.proj_key(-tau)}
-    with pytest.raises(ValueError):
-        cl.canonical_two_point(2, True, F2)
-    with pytest.raises(ValueError):
-        cl.canonical_two_point(3, True, F3)
-    with pytest.raises(ValueError):
-        cl.canonical_two_point(1, True, F5)
-    assert cl.canonical_two_point(3, False, F5) == rx.expr(F5, (0, 0, 0, 1))
+
+
+def table_labels(ctx):
+    """A label of every CLASS_TABLE row with a canonical form over ctx:
+    every k of Cubic2_iv that ctx admits, and one c and one b."""
+    t = ctx.from_key(2) if ctx.q > 2 else None
+    for row in cl.CLASS_TABLE.values():
+        if row.form is None or min(ctx.p, 5) not in row.chars:
+            continue
+        if row.params == ("k",):
+            for k in range(math.gcd(3, ctx.q - 1)):
+                yield row, cl.ClassLabel(row.tag, {"k": k})
+        elif row.params and t is not None:
+            yield row, cl.ClassLabel(row.tag, {row.params[0]: t})
+        elif not row.params:
+            yield row, cl.ClassLabel(row.tag)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F7, F8, F9],
+                         ids=lambda c: c.name)
+def test_table_stabilizers_match_scan(ctx):
+    for row, label in table_labels(ctx):
+        T = cl.canonical_rep(label, ctx)
+        assert row.stab(ctx.q) == ob.stabilizer_order(T), label
 
 
 def test_family_rc_frozen():

@@ -7,6 +7,7 @@ import ratclass.cli as cli
 import ratclass.ffield as ff
 import ratclass.orbits as ob
 import ratclass.poly as pl
+import ratclass.ramify as rm
 from ratclass.cli import label_text, main, parse_field
 
 
@@ -149,6 +150,21 @@ def test_ramify(capsys):
     data = json.loads(out)
     assert data == {"field": "F_2", "expression": "x^2",
                     "separable": False, "points": [], "hurwitz": None}
+
+
+def test_ramify_factors_the_wronskian_once(capsys, monkeypatch):
+    # the Hurwitz check reuses the profile that the report prints
+    calls = []
+    factor = rm.irreducible_factors
+
+    def counted(W):
+        calls.append(W)
+        return factor(W)
+
+    monkeypatch.setattr(rm, "irreducible_factors", counted)
+    code, out, err = run(capsys, "ramify", "--field", "7", "x^3 - 3x")
+    assert code == 0 and "hurwitz holds_with_equality" in out
+    assert len(calls) == 1
 
 
 def test_equiv(capsys):

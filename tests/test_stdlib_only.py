@@ -1,5 +1,5 @@
 """The package imports nothing beyond the standard library, and no
-import or private function in it is left without a user."""
+import or private top-level name in it is left without a user."""
 
 import ast
 import pathlib
@@ -33,7 +33,7 @@ def _referenced(tree):
     """Every name a module reads, as a bare name or as an attribute."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -56,7 +56,9 @@ def test_no_unused_imports():
                                                                     bound)
 
 
-def test_private_functions_have_users():
+def _unused_private(kinds):
+    """(module, name) for each private top-level definition of the given
+    node kinds that no module of the package reads or imports."""
     trees = _trees()
     used = set()
     for tree in trees.values():
@@ -66,8 +68,26 @@ def test_private_functions_have_users():
                 used.update(alias.name for alias in node.names)
     for name, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
-                assert node.name in used, "%s defines %s, used nowhere in " \
-                    "the package" % (name, node.name)
+            if not isinstance(node, kinds):
+                continue
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                bound = [node.name]
+            for b in bound:
+                if (b.startswith("_") and not b.startswith("__")
+                        and b not in used):
+                    yield name, b
+
+
+def test_private_functions_have_users():
+    unused = list(_unused_private((ast.FunctionDef, ast.AsyncFunctionDef)))
+    assert not unused, "defined, used nowhere in the package: %s" % unused
+
+
+def test_private_assignments_and_classes_have_users():
+    unused = list(_unused_private((ast.Assign, ast.AnnAssign, ast.ClassDef)))
+    assert not unused, "defined, used nowhere in the package: %s" % unused
