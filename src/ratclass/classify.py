@@ -56,9 +56,10 @@ from .moebius import (Moebius, PairAction, act, cross_ratio, identity,
                       map_triple, pair_identity, pair_scan, post, precompose,
                       solve_post, three_point_map)
 from .poly import (Poly, _distinct_degree_split, _synthetic_div,
-                   irreducible_factors, root_of_irreducible, roots)
-from .ramify import _profile, ramification_profile, wronskian
-from .ratexpr import INF, expr, proj_key, proj_points, proj_str
+                   irreducible_factors, poly_x, root_of_irreducible, roots)
+from .ramify import (RamProfile, _profile, ramification_profile,
+                     wronskian)
+from .ratexpr import INF, RatExpr, expr, proj_key, proj_points, proj_str
 
 
 # The paper's classification, one row per class tag, FourPoint last.  A
@@ -285,13 +286,10 @@ def lambda_mu_of_c(c):
         raise ValueError("defined away from characteristics 2 and 3")
     if c.key in (0, 1):
         raise ValueError("degenerate parameter %s" % c)
-    two = ctx.scalar(2)
-    den = two * c - ctx.one
-    if den.key == 0:
-        return INF, INF
-    lam = -(c * (c - two)) / den
-    mu = -(c * (c - two) ** 3) / den ** 3
-    return lam, mu
+    x = poly_x(ctx)
+    lam = RatExpr(-x * (x - 2), 2 * x - 1)
+    mu = RatExpr(-x * (x - 2) ** 3, (2 * x - 1) ** 3)
+    return lam(c), mu(c)
 
 
 def lambda_mu_relation(lam, mu):
@@ -806,6 +804,14 @@ def classify(R):
     witness maps R onto canonical_rep(label, R.ctx) and is verified
     exactly.
     """
+    return _classify(R)[:2]
+
+
+def _classify(R):
+    """classify's (label, witness), then what a caller that reports the
+    profile needs: the irreducible factors of R's Wronskian (None for an
+    inseparable R) and R's profile (None for a FourPoint label, which is
+    read off the factors alone)."""
     r = R.degree
     if r not in (2, 3):
         raise ValueError("can only classify quadratic and cubic expressions")
@@ -814,11 +820,12 @@ def classify(R):
     W = wronskian(R)
     if W.is_zero:  # inseparable, so p = r
         label = _BY_PROFILE[r, p, (), False]
-        return label, Witness(_witness_power_insep(R, r), R,
-                              canonical_rep(label, ctx))
+        witness = Witness(_witness_power_insep(R, r), R,
+                          canonical_rep(label, ctx))
+        return label, witness, None, RamProfile(False)
     factors = irreducible_factors(W)
     if r == 3 and _has_four_points(ctx, W, factors):
-        return _four_point_label(R, W, factors), None
+        return _four_point_label(R, W, factors), None, factors, None
     prof = _profile(R, factors)
     idx = prof.indices
     if r == 2 and p == 2:
@@ -844,7 +851,7 @@ def classify(R):
         src = _canonical_triple(label, ctx)
         pair = _align(R, canonical_rep(label, ctx),
                       ((src, dst) for dst in triples), em)
-    return label, Witness(pair, R, canonical_rep(label, ctx))
+    return label, Witness(pair, R, canonical_rep(label, ctx)), factors, prof
 
 
 def are_equivalent(R, R2):

@@ -15,13 +15,13 @@ import argparse
 import json
 import sys
 
-from .classify import (CASES, ClassLabel, are_equivalent, canonical_rep,
-                       classify, label_json)
+from .classify import (CASES, ClassLabel, _classify, are_equivalent,
+                       canonical_rep, label_json)
 from .ffield import (_prime_factors, check_desk_scale, check_power_scale,
                      field_create)
 from .orbits import STATEMENTS, all_classes, verify_statement
 from .parse import ParseError, parse_expression
-from .ramify import _hurwitz, ramification_profile
+from .ramify import _hurwitz, _profile, ramification_profile
 
 
 class _ArgParser(argparse.ArgumentParser):
@@ -90,8 +90,9 @@ def _print_profile(prof):
 
 def cmd_classify(args, ctx):
     R = parse_expression(args.expression, ctx, require_map=True)
-    label, witness = classify(R)
-    prof = ramification_profile(R)
+    label, witness, factors, prof = _classify(R)
+    if prof is None:  # a FourPoint label, read off the factors alone
+        prof = _profile(R, factors)
     if args.json:
         data = {"field": ctx.name, "expression": str(R),
                 "label": label_json(label, ctx, witness),

@@ -346,22 +346,10 @@ class Fel:
     def __hash__(self):
         return hash((self.ctx.uid, self.key))
 
-    def _cmp_ready(self, other):
+    def __lt__(self, other):
         if type(other) is not Fel or other.ctx is not self.ctx:
             raise TypeError("order is defined within a single field")
-        return other
-
-    def __lt__(self, other):
-        return self.key < self._cmp_ready(other).key
-
-    def __le__(self, other):
-        return self.key <= self._cmp_ready(other).key
-
-    def __gt__(self, other):
-        return self.key > self._cmp_ready(other).key
-
-    def __ge__(self, other):
-        return self.key >= self._cmp_ready(other).key
+        return self.key < other.key
 
     def __bool__(self):
         return self.key != 0

@@ -3,10 +3,11 @@
 A transformation is stored as a projective matrix normalized so that its
 first nonzero entry in row-major order is 1; with the nonzero-determinant
 requirement this makes each group element a unique value, so sets of
-them deduplicate correctly.  The module also provides the two-sided pair
-action (B, A) . R = B(R(A^{-1}(x))) on rational expressions, cross-ratios
-of four projective points, and the order-6 group S acting on cross-ratio
-values by lam -> 1/lam and lam -> 1 - lam.  The action computes on
+them deduplicate correctly.  A map acts on P^1 as the expression it is,
+and the cross-ratio of four points and the order-6 group S acting on
+its values (lam -> 1/lam, lam -> 1 - lam) are read off three_point_map.
+The module also provides the two-sided pair action (B, A) . R =
+B(R(A^{-1}(x))) on rational expressions.  The action computes on
 integer element codes with the field's code arithmetic and makes each
 output coefficient an element once.  So does the scan of PGL_2 for the
 pairs carrying one expression onto another (pair_scan): it walks the
@@ -47,11 +48,8 @@ class Moebius:
         d = _coerce(ctx, d)
         if (a * d - b * c).key == 0:
             raise ValueError("zero determinant")
-        for lead in (a, b, c):
-            if lead.key:
-                break
-        else:
-            lead = d
+        # a = b = 0 would make the determinant zero
+        lead = a if a.key else b
         if lead.key != 1:
             inv = lead.inverse()
             a, b, c, d = a * inv, b * inv, c * inv, d * inv
@@ -67,15 +65,7 @@ class Moebius:
 
     def __call__(self, P):
         """The induced map on P^1."""
-        if P is INF:
-            if self.c.key == 0:
-                return INF
-            return self.a / self.c
-        nv = self.a * P + self.b
-        dv = self.c * P + self.d
-        if dv.key:
-            return nv / dv
-        return INF
+        return self.as_ratexpr()(P)
 
     def compose(self, other):
         """self after other, by matrix product."""
@@ -465,39 +455,23 @@ def _inverse_walk(R, keys):
 
 
 def cross_ratio(x1, x2, x3, x4):
-    """The cross-ratio (x1-x3)(x2-x4) / ( (x2-x3)(x1-x4) ).
+    """The cross-ratio (x1-x3)(x2-x4) / ( (x2-x3)(x1-x4) ): the image of
+    x4 under the map sending x1, x2, x3 to inf, 0, 1.
 
-    An infinite entry clears the two factors containing it.  The inputs
-    must be pairwise distinct, so the value never lands in {0, 1, inf}.
+    The inputs must be pairwise distinct, so the value never lands in
+    {0, 1, inf}.
     """
-    pts = (x1, x2, x3, x4)
-    if len({proj_key(P) for P in pts}) < 4:
+    if len({proj_key(P) for P in (x1, x2, x3, x4)}) < 4:
         raise ValueError("cross-ratio needs distinct points")
-    ctx = next(P.ctx for P in pts if P is not INF)
-    num = ctx.one
-    den = ctx.one
-    if x1 is not INF and x3 is not INF:
-        num = num * (x1 - x3)
-    if x2 is not INF and x4 is not INF:
-        num = num * (x2 - x4)
-    if x2 is not INF and x3 is not INF:
-        den = den * (x2 - x3)
-    if x1 is not INF and x4 is not INF:
-        den = den * (x1 - x4)
-    return num / den
+    return three_point_map(x1, x2, x3).inverse()(x4)
 
 
 def s_group_maps(ctx):
-    """The six maps of S as transformations of the cross-ratio line:
-    lam, 1/lam, 1-lam, lam/(lam-1), 1/(1-lam), (lam-1)/lam."""
-    return (
-        Moebius(ctx, 1, 0, 0, 1),
-        Moebius(ctx, 0, 1, 1, 0),
-        Moebius(ctx, -1, 1, 0, 1),
-        Moebius(ctx, 1, 0, 1, -1),
-        Moebius(ctx, 0, 1, -1, 1),
-        Moebius(ctx, 1, -1, 1, 0),
-    )
+    """The six maps of S as transformations of the cross-ratio line,
+    those permuting inf, 0 and 1: lam, 1/lam, 1-lam, lam/(lam-1),
+    1/(1-lam) and (lam-1)/lam."""
+    return tuple(three_point_map(*pts)
+                 for pts in itertools.permutations((INF, ctx.zero, ctx.one)))
 
 
 def s_orbit(lam, ctx=None):

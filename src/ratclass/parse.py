@@ -16,9 +16,10 @@ so parsing never loses information.  The lists are combined by poly's
 kernels (_add, _mul, _pow; a power of a monomial c x^k is c^e x^(ke) in
 closed form), and this module defines no arithmetic of its own; RatExpr
 reduces the fraction once, at the end.  Dividing by an identically zero
-subexpression is an error reported at the slash; a power of degree
-beyond the desk-scale bound is refused before it is built.  The printed
-form of any expression parses back to the identical normalized object.
+subexpression is an error reported at the slash.  A power or product of
+degree d in x takes about d^2 field operations, so it is refused before
+it is built when d^2 exceeds the desk-scale bound (d > 2^12).  Printed
+forms parse back to the identical normalized object.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class ParseError(ValueError):
 # a token is an ASCII integer or one other character, white space aside
 _TOKEN = re.compile(r"[0-9]+|\S")
 _STRAY = re.compile(r"[^\s0-9xt+\-*/^()]")
+
+
+def _times(a, b):
+    """_mul(a, b), refused before it is built when its degree d in x has
+    d^2, about the field operations it takes, beyond the desk-scale
+    bound."""
+    d = len(a or (0,)) + len(b or (0,)) - 2
+    check_desk_scale(d * d, "field operations (degree squared) in a product")
+    return _mul(a, b)
 
 
 class _Parser:
@@ -122,8 +132,9 @@ class _Parser:
                         self.fail("negative power of an identically zero "
                                   "expression", caret)
                     num, den = den or [ctx.one], num
-                check_desk_scale(e * (max(len(num), len(den or ())) - 1),
-                                 "degrees of x in a power")
+                d = e * (max(len(num), len(den or ())) - 1)
+                check_desk_scale(d * d, "field operations (degree squared) "
+                                 "in a power")
                 val = _pow(num, e, ctx), den and _pow(den, e, ctx)
             if neg:
                 val = [-c for c in val[0]], val[1]
@@ -134,9 +145,9 @@ class _Parser:
                 if not val[0]:
                     self.fail("division by an identically zero expression",
                               slash)
-                term = _mul(term[0], val[1]), _mul(term[1], val[0])
+                term = _times(term[0], val[1]), _times(term[1], val[0])
             else:
-                term = _mul(term[0], val[0]), _mul(term[1], val[1])
+                term = _times(term[0], val[0]), _times(term[1], val[1])
             tok = toks[i]
             if tok == "*" or tok == "/":
                 op, slash = tok, i
@@ -148,8 +159,9 @@ class _Parser:
                     total = term
                 else:
                     num, den = term
-                    total = (_add(_mul(total[0], den), _mul(num, total[1])),
-                             _mul(total[1], den))
+                    total = (_add(_times(total[0], den),
+                                  _times(num, total[1])),
+                             _times(total[1], den))
                 if tok != "+" and tok != "-":
                     return total, i
                 term = None
@@ -160,8 +172,8 @@ def parse_expression(text, ctx, require_map=False):
 
     With require_map, constants (which no Moebius pair can move) are
     rejected.  Raises ParseError with the exact offending position, and
-    ffield.ScaleLimitError for a power of degree beyond the desk-scale
-    bound.
+    ffield.ScaleLimitError for a power or product of degree d in x with
+    d^2 beyond the desk-scale bound.
     """
     parser = _Parser(text, ctx)
     (num, den), i = parser.expr(0)

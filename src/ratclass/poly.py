@@ -116,12 +116,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fel)):
-            c = other if isinstance(other, Fel) else self.ctx.scalar(other)
-            return self * c.inverse()
-        return NotImplemented
-
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .ffield import extend
 from .poly import _multiplicity, irreducible_factors, root_of_irreducible
-from .ratexpr import INF, proj_key
+from .ratexpr import INF, proj_key, proj_str
 
 
 class RamPoint:
@@ -46,19 +46,9 @@ class RamPoint:
     def sort_key(self):
         return (self.defining_degree, proj_key(self.point))
 
-    def __eq__(self, other):
-        if not isinstance(other, RamPoint):
-            return NotImplemented
-        return (proj_key(self.point) == proj_key(other.point)
-                and self.index == other.index
-                and proj_key(self.branch) == proj_key(other.branch)
-                and self.defining_degree == other.defining_degree)
-
     def __repr__(self):
         return "RamPoint(%s, index %d, branch %s, degree %d)" % (
-            "inf" if self.point is INF else self.point,
-            self.index,
-            "inf" if self.branch is INF else self.branch,
+            proj_str(self.point), self.index, proj_str(self.branch),
             self.defining_degree)
 
 
@@ -82,10 +72,10 @@ class RamProfile:
         out = []
         for p in self.points:
             out.append({
-                "point": "inf" if p.point is INF else str(p.point),
+                "point": proj_str(p.point),
                 "field_degree": p.defining_degree,
                 "index": p.index,
-                "branch_point": "inf" if p.branch is INF else str(p.branch),
+                "branch_point": proj_str(p.branch),
             })
         return out
 

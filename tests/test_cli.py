@@ -1,3 +1,4 @@
+import importlib
 import json
 import time
 
@@ -9,6 +10,8 @@ import ratclass.orbits as ob
 import ratclass.poly as pl
 import ratclass.ramify as rm
 from ratclass.cli import label_text, main, parse_field
+
+cl = importlib.import_module("ratclass.classify")
 
 
 def run(capsys, *argv):
@@ -57,8 +60,6 @@ def test_huge_field_designator_refused_promptly(capsys):
 
 
 def test_label_text():
-    import importlib
-    cl = importlib.import_module("ratclass.classify")
     assert label_text(cl.ClassLabel("Quad_X2")) == "Quad_X2"
     assert label_text(cl.ClassLabel("Cubic2_iv", {"k": 2})) \
         == "Cubic2_iv k=2"
@@ -74,6 +75,15 @@ def test_classify_text(capsys):
                    "witness A x\n"
                    "representative (x^3+1)/x\n"
                    "ramified point inf  degree 1  index 2  branch inf\n")
+    code, out, err = run(capsys, "classify", "--field", "2", "x^2")
+    assert code == 0 and err == ""
+    assert out == ("field F_2\n"
+                   "expression x^2\n"
+                   "class Quad_X2_Insep\n"
+                   "witness B x\n"
+                   "witness A x\n"
+                   "representative x^2\n"
+                   "inseparable: ramified everywhere\n")
 
 
 def test_classify_json(capsys):
@@ -104,6 +114,11 @@ def test_classify_four_point_json(capsys):
     assert "witness" not in data["label"]
     assert "representative" not in data
     assert len(data["ramification"]["points"]) == 4
+    code, out, err = run(capsys, "classify", "--field", "3",
+                         "x^2/(x^3+2x+1)")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == \
+        "class FourPoint lambda=t mu=t mu_alt=2t pattern=(1,1,2)"
 
 
 def test_classify_and_ramify_beyond_the_old_field_bound(capsys):
@@ -150,6 +165,11 @@ def test_ramify(capsys):
     data = json.loads(out)
     assert data == {"field": "F_2", "expression": "x^2",
                     "separable": False, "points": [], "hurwitz": None}
+    code, out, err = run(capsys, "ramify", "--field", "2", "x^2")
+    assert code == 0 and err == ""
+    assert out == ("field F_2\n"
+                   "expression x^2\n"
+                   "inseparable: ramified everywhere\n")
 
 
 def test_ramify_factors_the_wronskian_once(capsys, monkeypatch):
@@ -165,6 +185,45 @@ def test_ramify_factors_the_wronskian_once(capsys, monkeypatch):
     code, out, err = run(capsys, "ramify", "--field", "7", "x^3 - 3x")
     assert code == 0 and "hurwitz holds_with_equality" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("x^3 - 3x", 1),
+    # FourPoint, the Wronskian of degree 4
+    ("(x^3+x)/(x^2+3)", 1),
+    # FourPoint with a ramification point at infinity, which the label
+    # moves away and factors the Wronskian again for
+    ("(x^3+3x^2+x)/(x+2)", 2),
+])
+def test_classify_factors_the_wronskian_once(capsys, monkeypatch, text,
+                                             calls):
+    # the report prints the profile that classify built, or builds it
+    # from classify's factors
+    counted = []
+    factor = pl.irreducible_factors
+
+    def counting(W):
+        counted.append(W)
+        return factor(W)
+
+    code, want, err = run(capsys, "classify", "--field", "7", text)
+    assert code == 0 and err == ""
+    for module in (cl, rm):
+        monkeypatch.setattr(module, "irreducible_factors", counting)
+    code, out, err = run(capsys, "classify", "--field", "7", text)
+    assert code == 0 and out == want
+    assert len(counted) == calls
+
+
+def test_parse_work_refused_promptly(capsys):
+    # (x+1)^6000 takes about 6000^2 field operations to build
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--field", "7",
+                         "(x+1)^6000/(x+2)^5999")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert "36000000 field operations (degree squared) in a power exceed " \
+        "the limit 16777216, the desk-scale bound" in err
 
 
 def test_equiv(capsys):
@@ -297,7 +356,7 @@ def test_internal_error_is_one_line(capsys, monkeypatch):
     def broken(R):
         raise AssertionError("alignment failed for %s" % R)
 
-    monkeypatch.setattr(cli, "classify", broken)
+    monkeypatch.setattr(cli, "_classify", broken)
     code, out, err = run(capsys, "classify", "--field", "5", "x^2+1")
     assert code == 3
     assert out == ""

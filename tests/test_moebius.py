@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 
 import pytest
@@ -112,6 +113,18 @@ def test_act_point():
     aff = mb.Moebius(F5, 2, 3, 0, 1)
     assert aff(INF) is INF
     assert aff(F5.one) == F5.zero
+    # the explicit point action (aP+b)/(cP+d), with a / c at infinity,
+    # as the oracle for RatExpr's projective evaluation
+    for p, n in ((2, 1), (3, 1), (2, 2), (5, 1)):
+        ctx = ff.field_create(p, n)
+        for M in mb.enumerate_pgl2(ctx):
+            for P in rx.proj_points(ctx):
+                if P is INF:
+                    want = INF if M.c.key == 0 else M.a / M.c
+                else:
+                    dv = M.c * P + M.d
+                    want = (M.a * P + M.b) / dv if dv.key else INF
+                assert rx.proj_key(M(P)) == rx.proj_key(want), (M, P)
 
 
 def test_three_point_map_frozen():
@@ -609,6 +622,21 @@ def test_cross_ratio_frozen():
     assert val == s(4)
     with pytest.raises(ValueError):
         mb.cross_ratio(a, a, s(1), s(3))
+    # the explicit product, an infinite entry clearing the two factors
+    # containing it, on every ordered four distinct points
+    for p, n in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1)):
+        ctx = ff.field_create(p, n)
+        for quad in itertools.permutations(rx.proj_points(ctx), 4):
+            x1, x2, x3, x4 = quad
+            num = den = ctx.one
+            for u, v, side in ((x1, x3, 0), (x2, x4, 0), (x2, x3, 1),
+                               (x1, x4, 1)):
+                if u is not INF and v is not INF:
+                    if side:
+                        den = den * (u - v)
+                    else:
+                        num = num * (u - v)
+            assert mb.cross_ratio(*quad) == num / den, quad
 
 
 def test_cross_ratio_invariance():
@@ -639,6 +667,11 @@ def test_s_orbit_frozen():
     for orbit in (mb.s_orbit, mb.s_orbit_min):
         with pytest.raises(ValueError, match="point at infinity needs ctx"):
             orbit(INF)
+    # lam, 1/lam, 1-lam, lam/(lam-1), 1/(1-lam) and (lam-1)/lam
+    assert set(mb.s_group_maps(F7)) == {
+        mb.Moebius(F7, 1, 0, 0, 1), mb.Moebius(F7, 0, 1, 1, 0),
+        mb.Moebius(F7, -1, 1, 0, 1), mb.Moebius(F7, 1, 0, 1, -1),
+        mb.Moebius(F7, 0, 1, -1, 1), mb.Moebius(F7, 1, -1, 1, 0)}
 
 
 def test_s_orbit_sizes_exhaustive():

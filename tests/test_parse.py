@@ -427,12 +427,28 @@ def test_malformed_texts_fail_as_the_oracle_does():
 
 
 def test_powers_beyond_the_desk_scale_bound_are_refused(monkeypatch):
+    # building a result of degree d takes about d^2 field operations,
+    # so d is bounded by 2^12
+    assert parse_expression("x^4096", F5).degree == 4096
     built = []
     monkeypatch.setattr(ps, "_pow", lambda *args: built.append(args))
-    for text in ("x^16777217", "(x+1)^16777217"):
+    for text in ("x^16777217", "(x+1)^16777217", "x^4097", "(x+1)^4097",
+                 "(x+1)^6000/(x+2)^5999"):
         with pytest.raises(ff.ScaleLimitError, match="desk-scale bound"):
             parse_expression(text, F5)
     assert built == []
+    monkeypatch.undo()
+    # products, quotients and sums of powers within the bound, refused
+    # before they are multiplied out
+    multiplied = []
+    monkeypatch.setattr(ps, "_mul", lambda *args: multiplied.append(args))
+    for text in ("x^3000*x^2000", "x^3000/x^-2000", "x^3000+x^-2000"):
+        with pytest.raises(ff.ScaleLimitError,
+                           match="25000000 field operations .* in a product "
+                           "exceed the limit 16777216, the desk-scale "
+                           "bound"):
+            parse_expression(text, F5)
+    assert multiplied == []
 
 
 # two unreduced cubics as classify-stream writes them (stream_text with
